@@ -177,15 +177,20 @@ class RpcRmaMap {
     upcxx::future<upcxx::global_ptr<char>> f = upcxx::rpc(
         (*tm_)[get_target(key)],
         // make_lz: allocate space and record the landing zone (runs at the
-        // owner; returns a global pointer suitable for RMA).
+        // owner; returns a global pointer suitable for RMA). An overwrite
+        // frees the replaced zone here, as erase does — it lives in the
+        // owner's segment.
         [](upcxx::dist_object<LocalMap>& lm, const std::string& k,
            std::uint64_t len) {
-          auto dest = upcxx::allocate<char>(static_cast<std::size_t>(len));
-          auto [it, fresh] = lm->insert_or_assign(
-              k, lz_t{dest, static_cast<std::size_t>(len)});
-          (void)it;
-          (void)fresh;
-          return dest;
+          const lz_t lz{upcxx::allocate<char>(static_cast<std::size_t>(len)),
+                        static_cast<std::size_t>(len)};
+          auto [it, fresh] = lm->try_emplace(k, lz);
+          if (!fresh) {
+            if (!it->second.gptr.is_null())
+              upcxx::deallocate(it->second.gptr);
+            it->second = lz;
+          }
+          return lz.gptr;
         },
         store_, key, static_cast<std::uint64_t>(val.size() + 1));
     auto v = std::make_shared<std::string>(val);

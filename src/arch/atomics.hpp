@@ -1,6 +1,6 @@
 // Relaxed atomic accessors over plain counter fields (C++20 atomic_ref).
 //
-// Stats structs (AmEngine::Stats, PersonaState::Stats) keep plain
+// Stats structs (AmEngine::Stats, XferEngine::Stats, ...) keep plain
 // std::uint64_t members so existing readers — benches printing fields,
 // tests comparing them after a quiesce — stay source-compatible, while
 // every *increment* goes through an atomic_ref: with injector threads and

@@ -74,7 +74,7 @@ auto copy(global_ptr<T, KS> src, global_ptr<T, KD> dest, std::size_t n,
           Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null() && !dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   constexpr int dev_ends = (KS == memory_kind::sim_device ? 1 : 0) +
                            (KD == memory_kind::sim_device ? 1 : 0);
   return detail::copy_impl(std::move(cxs), src.where(), dest.where(),
@@ -88,7 +88,7 @@ auto copy(const T* src, global_ptr<T, KD> dest, std::size_t n,
           Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   constexpr int dev_ends = KD == memory_kind::sim_device ? 1 : 0;
   return detail::copy_impl(std::move(cxs), detail::op_state().rank->me,
                            dest.where(), dest.raw_address(), src,
@@ -100,7 +100,7 @@ template <typename T, memory_kind KS, typename Cxs = default_cx_t>
 auto copy(global_ptr<T, KS> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
+  detail::op_state().stats.inc(detail::Stat::rgets);
   constexpr int dev_ends = KS == memory_kind::sim_device ? 1 : 0;
   return detail::copy_impl(std::move(cxs), src.where(),
                            detail::op_state().rank->me, dest,

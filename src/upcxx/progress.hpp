@@ -29,8 +29,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "arch/mpsc_queue.hpp"
+#include "arch/sharded_counters.hpp"
 #include "arch/small_fn.hpp"
 #include "arch/spinlock.hpp"
 #include "gex/agg.hpp"
@@ -66,6 +66,18 @@ struct TimedEntry {
     // priority_queue is a max-heap; invert for earliest-first.
     return due_ns != o.due_ns ? due_ns > o.due_ns : seq > o.seq;
   }
+};
+
+// Keys of PersonaState::stats, one per experimental::op_stats field.
+enum class Stat : std::size_t {
+  rputs,
+  rgets,
+  rpcs_sent,
+  rpcs_executed,
+  lpcs_run,
+  colls_run,  // collectives entered (per rank, any thread)
+  amos_run,   // atomic_domain ops issued
+  kCount
 };
 
 struct PersonaState {
@@ -116,20 +128,14 @@ struct PersonaState {
   std::unordered_map<std::uint64_t, std::shared_ptr<CollInstance>> colls;
   std::unordered_map<std::uint64_t, std::uint64_t> coll_seq;  // per team
 
-  // Counters surfaced by tests and benches. Plain u64 fields (printf-able,
-  // source-compatible readers) bumped through arch::relaxed_inc — injector
-  // threads increment rputs/rgets/rpcs_sent concurrently with the progress
-  // threads, and plain ++ would tear counts the tests assert on. Read via
-  // experimental::stats() (relaxed loads) or directly after a quiesce.
-  struct Stats {
-    std::uint64_t rpcs_executed = 0;
-    std::uint64_t rpcs_sent = 0;
-    std::uint64_t rputs = 0;
-    std::uint64_t rgets = 0;
-    std::uint64_t lpcs_run = 0;
-    std::uint64_t colls_run = 0;  // collectives entered (per rank, any thread)
-    std::uint64_t amos_run = 0;   // atomic_domain ops issued
-  } stats;
+  // Op counters behind experimental::stats(), one shard per writing
+  // thread (arch/sharded_counters.hpp). Injector threads bump rputs/rgets/
+  // rpcs_sent/amos_run from the op entry points while the progress
+  // threads bump the rest; each thread writes only its own cache line, so
+  // the injected rput path never contends on a rank-shared line. Read
+  // them through experimental::stats(), which sums the shards: exact once
+  // the writers have joined. The shards die with this state (fini_persona).
+  arch::ShardedCounters<Stat> stats;
 
   // ---- thread-safe injection (off-persona op initiation) ----
   //
@@ -199,7 +205,7 @@ bool has_persona();
 // rank's PersonaState to an app thread that holds no rank context, allowing
 // it to initiate rpc/rput/rget/copy off-persona. op_state() is the union
 // accessor — the rank state via either binding; it grants access to the
-// *thread-safe* subset only (config fields, stats via relaxed_inc, the
+// *thread-safe* subset only (config fields, the sharded stats, the
 // MPSC hand-off entry points below). Engine access (state.rank->am etc.)
 // remains the progress personas' exclusive right; op-layer code that
 // touches engines still goes through persona().
@@ -497,15 +503,13 @@ struct op_stats {
 };
 
 inline op_stats stats() {
-  // op_state(): readable from injector threads too; relaxed loads pair
-  // with the relaxed_inc writers (mid-run values are monotone snapshots).
-  const auto& s = detail::op_state().stats;
-  return {arch::relaxed_load(s.rputs),          arch::relaxed_load(s.rgets),
-          arch::relaxed_load(s.rpcs_sent),
-          arch::relaxed_load(s.rpcs_executed),
-          arch::relaxed_load(s.lpcs_run),
-          arch::relaxed_load(s.colls_run),
-          arch::relaxed_load(s.amos_run)};
+  // op_state(): readable from injector threads too. Mid-run values are
+  // monotone snapshots; exact once the counting threads have joined.
+  using detail::Stat;
+  const auto s = detail::op_state().stats.sum();
+  return {s[Stat::rputs],         s[Stat::rgets],    s[Stat::rpcs_sent],
+          s[Stat::rpcs_executed], s[Stat::lpcs_run], s[Stat::colls_run],
+          s[Stat::amos_run]};
 }
 
 }  // namespace experimental

@@ -261,7 +261,7 @@ auto rput(const T* src, global_ptr<T> dest, std::size_t n,
   static_assert(std::is_trivially_copyable_v<T>,
                 "RMA requires trivially copyable element types");
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
     return detail::issue_xfer(std::move(cxs), dest.where(), dest.local(),
@@ -289,7 +289,7 @@ auto rput(T value, global_ptr<T> dest, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "RMA requires trivially copyable element types");
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   if (detail::wire_am()) {
     // The by-value parameter dies with this call; when an injector thread
     // initiates, the AM request is built later on the progress persona —
@@ -316,7 +316,7 @@ template <typename T, typename Cxs = default_cx_t>
 auto rget(global_ptr<T> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
+  detail::op_state().stats.inc(detail::Stat::rgets);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
     return detail::issue_xfer(std::move(cxs), src.where(), dest,
@@ -339,7 +339,7 @@ template <typename T>
 future<T> rget(global_ptr<T> src) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
+  detail::op_state().stats.inc(detail::Stat::rgets);
   if (detail::wire_am()) {
     // The reply scatters into a shared holder; the value ships to the
     // future through compQ (plus the modeled round trip) like every other
@@ -470,7 +470,7 @@ auto rput_irregular(const std::vector<src_fragment<T>>& srcs,
                     const std::vector<dst_fragment<T>>& dsts,
                     Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   if (dsts.empty()) {
     // Empty transfer: complete locally (no remote rank is named, so no
     // remote_cx fires). Any local fragments must be zero-length too.
@@ -512,7 +512,7 @@ auto rget_irregular(const std::vector<dst_fragment<T>>& srcs,
                     const std::vector<local_fragment<T>>& dsts,
                     Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rgets);
+  detail::op_state().stats.inc(detail::Stat::rgets);
   if (srcs.empty()) {
     return detail::finish_rma_fragments(
         std::move(cxs), 0, [](std::size_t) { return intrank_t{0}; });
@@ -605,7 +605,7 @@ auto rput_strided(const T* src_base,
                   const std::array<std::size_t, Dim>& extents,
                   Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rputs);
+  detail::op_state().stats.inc(detail::Stat::rputs);
   auto* a = reinterpret_cast<const std::byte*>(src_base);
   auto* b = reinterpret_cast<std::byte*>(dst_base.local());
   if (detail::wire_am()) {
@@ -633,7 +633,7 @@ auto rget_strided(global_ptr<T> src_base,
                   const std::array<std::size_t, Dim>& extents,
                   Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rgets);
+  detail::op_state().stats.inc(detail::Stat::rgets);
   auto* a = reinterpret_cast<const std::byte*>(src_base.local());
   auto* b = reinterpret_cast<std::byte*>(dst_base);
   if (detail::wire_am()) {

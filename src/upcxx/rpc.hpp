@@ -109,7 +109,7 @@ void rpc_request_dispatch(int src, Reader& r) {
   const auto op_id = r.pod<std::uint64_t>();
   F fn = read_fn<F>(r);
   auto args = deserialize_tuple<Args...>(r);
-  arch::relaxed_inc(persona().stats.rpcs_executed);
+  persona().stats.inc(Stat::rpcs_executed);
   invoke_and_reply(fn, args, [src, op_id](const auto&... results) {
     send_reply(src, op_id, results...);
   });
@@ -120,7 +120,7 @@ template <typename F, typename... Args>
 void rpc_ff_dispatch(int /*src*/, Reader& r) {
   F fn = read_fn<F>(r);
   auto args = deserialize_tuple<Args...>(r);
-  arch::relaxed_inc(persona().stats.rpcs_executed);
+  persona().stats.inc(Stat::rpcs_executed);
   std::apply(fn, args);
 }
 
@@ -172,7 +172,7 @@ template <typename F, typename... Args>
 void rpc_ff_impl(intrank_t target, wire_mode mode, F fn, Args&&... args) {
   static_assert(std::is_trivially_copyable_v<F>,
                 "RPC callables must be trivially copyable");
-  arch::relaxed_inc(op_state().stats.rpcs_sent);
+  op_state().stats.inc(Stat::rpcs_sent);
   SizeArchive sa;
   serialization_write_fn(sa, fn);
   serialize_args(sa, args...);
@@ -204,7 +204,7 @@ auto rpc_impl(intrank_t target, wire_mode mode, F fn, Args&&... args)
   static_assert(std::is_trivially_copyable_v<F>,
                 "RPC callables must be trivially copyable");
   using Fut = rpc_return_t<F, std::decay_t<Args>...>;
-  arch::relaxed_inc(op_state().stats.rpcs_sent);
+  op_state().stats.inc(Stat::rpcs_sent);
   std::uint64_t op_id = 0;
   Fut fut = reply_fulfiller<Fut>::attach(&op_id);
   SizeArchive sa;

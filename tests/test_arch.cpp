@@ -6,12 +6,14 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "arch/cacheline.hpp"
 #include "arch/ring.hpp"
 #include "arch/rng.hpp"
+#include "arch/sharded_counters.hpp"
 #include "arch/small_fn.hpp"
 #include "arch/spinlock.hpp"
 #include "arch/timer.hpp"
@@ -67,6 +69,70 @@ TEST(Spinlock, TryLock) {
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
   lock.unlock();
+}
+
+enum class Ctr : std::size_t { a, b, kCount };
+using Counters = arch::ShardedCounters<Ctr>;
+
+TEST(ShardedCounters, ExactAfterJoinMonotoneBefore) {
+  Counters c;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 50000;
+  std::atomic<int> alive{kThreads};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) c.inc(Ctr::a);
+      for (int i = 0; i <= t; ++i) c.inc(Ctr::b);
+      alive.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  // A reader racing the writers sees per-counter monotone snapshots.
+  std::uint64_t last_a = 0, last_b = 0;
+  while (alive.load(std::memory_order_acquire) != 0) {
+    const auto s = c.sum();
+    EXPECT_GE(s[Ctr::a], last_a);
+    EXPECT_GE(s[Ctr::b], last_b);
+    last_a = s[Ctr::a];
+    last_b = s[Ctr::b];
+  }
+  for (auto& t : ts) t.join();
+  const auto s = c.sum();
+  EXPECT_EQ(s[Ctr::a], static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(s[Ctr::b],
+            static_cast<std::uint64_t>(kThreads * (kThreads + 1) / 2));
+  // One shard per writer; the reader never incremented, so it has none.
+  EXPECT_EQ(c.shards(), static_cast<std::size_t>(kThreads));
+}
+
+TEST(ShardedCounters, FreshInstanceAtRecycledAddress) {
+  // The writer's shard cache is keyed on instance identity, not address:
+  // a new instance in the old one's storage starts from zero and counts
+  // into its own shards.
+  std::optional<Counters> slot;
+  slot.emplace();
+  const void* addr = &*slot;
+  for (int i = 0; i < 5; ++i) slot->inc(Ctr::a);
+  EXPECT_EQ(slot->sum()[Ctr::a], 5u);
+  slot.reset();
+  slot.emplace();
+  ASSERT_EQ(static_cast<const void*>(&*slot), addr);
+  EXPECT_EQ(slot->sum()[Ctr::a], 0u);
+  slot->inc(Ctr::a);
+  EXPECT_EQ(slot->sum()[Ctr::a], 1u);
+  EXPECT_EQ(slot->shards(), 1u);
+}
+
+TEST(ShardedCounters, AlternatingThreadKeepsOneShardPerInstance) {
+  Counters x, y;
+  for (int i = 0; i < 100; ++i) {
+    x.inc(Ctr::a);
+    y.inc(Ctr::b);
+  }
+  EXPECT_EQ(x.sum()[Ctr::a], 100u);
+  EXPECT_EQ(y.sum()[Ctr::b], 100u);
+  EXPECT_EQ(x.shards(), 1u);
+  EXPECT_EQ(y.shards(), 1u);
 }
 
 class RingTest : public ::testing::Test {

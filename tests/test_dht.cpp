@@ -3,6 +3,7 @@
 // paper's asynchronous-chaining idioms.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -311,6 +312,46 @@ TEST(DhtRpcRma, EraseFreesLandingZone) {
         map.insert("blob", big).wait();
         EXPECT_TRUE(map.erase("blob").wait());
       }
+    }
+    upcxx::barrier();
+  });
+}
+
+TEST(DhtRpcRma, OverwriteFreesLandingZone) {
+  // Overwriting a key replaces its landing zone; the owner must free the
+  // old one (as erase does), or every overwrite leaks a zone's worth of
+  // segment space.
+  constexpr std::size_t kValue = 4096;
+  // One zone's heap footprint: the NUL-terminated value plus block header
+  // and alignment slack.
+  constexpr std::size_t kZone = kValue + 1 + 256;
+  spmd(2, [] {
+    dht::RpcRmaMap map;
+    upcxx::barrier();
+    if (upcxx::rank_me() == 0) {
+      const std::string key = "blob";
+      auto owner_used = [&] {
+        return upcxx::rpc(map.get_target(key), [] {
+                 auto* r = gex::self();
+                 auto& h = r->arena->segment_heap(r->me);
+                 return static_cast<std::uint64_t>(h.bytes_total() -
+                                                   h.bytes_free());
+               }).wait();
+      };
+      auto value = [](int i) {
+        std::string v(kValue, static_cast<char>('a' + i % 26));
+        std::memcpy(v.data(), &i, sizeof i);
+        return v;
+      };
+      map.insert(key, value(0)).wait();
+      const std::uint64_t level = owner_used();
+      for (int i = 1; i <= 256; ++i) {
+        map.insert(key, value(i)).wait();
+        const std::uint64_t used = owner_used();
+        ASSERT_LE(used, level + kZone) << "after overwrite " << i;
+        ASSERT_GE(used + kZone, level) << "after overwrite " << i;
+      }
+      EXPECT_EQ(map.find(key).wait().value(), value(256));
     }
     upcxx::barrier();
   });

@@ -3,8 +3,8 @@
 // routed back to the initiating thread's persona. Covers the caller-side
 // sync fast path (direct wire, small), the MPSC hand-off paths (XferEngine
 // and the AM wire via the submit queue, rpc via the wire shards), and the
-// relaxed stats counters. The randomized cross-path soak lives in
-// test_mt_soak.cpp.
+// per-thread sharded stats counters. The randomized cross-path soak lives
+// in test_mt_soak.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -308,23 +308,51 @@ TEST(Inject, AtomicsFromInjectorSocket) {
   EXPECT_EQ(upcxx::run(cfg, atomics_from_injector_body), 0);
 }
 
-TEST(Inject, StatsCountThreadedOps) {
-  // Satellite: the op counters are relaxed atomics — concurrent injector
-  // increments must not tear or drop.
-  spmd(1, [] {
-    constexpr int kThreads = 4;
-    constexpr int kOps = 500;
+TEST(Inject, StatsExactUnderContention) {
+  // The op counters are per-thread shards summed at read time: four
+  // injectors hammering rput/rget while the master issues rpcs must leave
+  // exact deltas once the injectors have joined.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  constexpr int kRpcs = 200;
+  spmd(2, [] {
+    const int peer = 1 - upcxx::rank_me();
     auto buf = upcxx::allocate<std::uint64_t>(kThreads);
+    // Snapshot before the barrier: once the peer leaves it, its rpcs may
+    // execute here while this rank still waits in the barrier.
     const auto before = upcxx::experimental::stats();
+    upcxx::barrier();
 
-    with_injectors(kThreads, [&](int t) {
-      for (int i = 0; i < kOps; ++i)
-        upcxx::rput(static_cast<std::uint64_t>(i), buf + t).wait();
-    });
+    upcxx::injector inj;
+    std::atomic<int> alive{kThreads};
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t)
+      ts.emplace_back([&, t] {
+        upcxx::injection_scope scope(inj);
+        for (int i = 0; i < kOps; ++i) {
+          upcxx::rput(static_cast<std::uint64_t>(i), buf + t).wait();
+          EXPECT_EQ(upcxx::rget(buf + t).wait(),
+                    static_cast<std::uint64_t>(i));
+        }
+        alive.fetch_sub(1, std::memory_order_release);
+      });
+    for (int i = 0; i < kRpcs; ++i) upcxx::rpc(peer, [] {}).wait();
+    while (alive.load(std::memory_order_acquire) != 0) upcxx::progress();
+    for (auto& th : ts) th.join();
+    // Every rpc this rank will execute was sent (and answered) before the
+    // peer entered the barrier.
+    upcxx::barrier();
 
     const auto after = upcxx::experimental::stats();
-    EXPECT_EQ(after.rputs - before.rputs,
-              static_cast<std::uint64_t>(kThreads) * kOps);
+    const auto n = static_cast<std::uint64_t>(kThreads) * kOps;
+    EXPECT_EQ(after.rputs - before.rputs, n);
+    EXPECT_EQ(after.rgets - before.rgets, n);
+    EXPECT_EQ(after.rpcs_sent - before.rpcs_sent,
+              static_cast<std::uint64_t>(kRpcs));
+    EXPECT_EQ(after.rpcs_executed - before.rpcs_executed,
+              static_cast<std::uint64_t>(kRpcs));
+    EXPECT_EQ(after.colls_run - before.colls_run, 2u);
+    upcxx::barrier();
     upcxx::deallocate(buf);
   });
 }

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <thread>
 
 #include "arch/timer.hpp"
@@ -94,17 +97,106 @@ TEST(Progress, WaitDrivesNestedCompletion) {
 
 TEST(Progress, StatsCountRpcsAndRma) {
   spmd(2, [] {
-    auto& st = upcxx::detail::persona().stats;
-    const auto rpcs0 = st.rpcs_sent;
-    const auto rputs0 = st.rputs;
+    const auto st0 = upcxx::experimental::stats();
     auto g = upcxx::allocate<int>(1);
     upcxx::rput(1, g).wait();
     upcxx::rpc((upcxx::rank_me() + 1) % 2, [] {}).wait();
-    EXPECT_EQ(st.rputs, rputs0 + 1);
-    EXPECT_GE(st.rpcs_sent, rpcs0 + 1);
+    const auto st = upcxx::experimental::stats();
+    EXPECT_EQ(st.rputs, st0.rputs + 1);
+    EXPECT_GE(st.rpcs_sent, st0.rpcs_sent + 1);
     upcxx::barrier();
     upcxx::deallocate(g);
   });
+}
+
+// A long-lived thread that runs one job at a time, outliving SPMD launches.
+class Helper {
+ public:
+  Helper() : th_([this] { loop(); }) {}
+  ~Helper() {
+    post(nullptr);
+    th_.join();
+  }
+  Helper(const Helper&) = delete;
+  Helper& operator=(const Helper&) = delete;
+
+  // Runs fn on the helper thread while the calling rank keeps progress
+  // going; returns once fn has finished.
+  void run_with_progress(std::function<void()> fn) {
+    done_.store(false, std::memory_order_relaxed);
+    post(std::move(fn));
+    while (!done_.load(std::memory_order_acquire)) upcxx::progress();
+  }
+
+ private:
+  void post(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      job_ = std::move(fn);
+      has_job_ = true;
+    }
+    cv_.notify_one();
+  }
+  void loop() {
+    for (;;) {
+      std::function<void()> fn;
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [this] { return has_job_; });
+        has_job_ = false;
+        fn = std::move(job_);
+      }
+      if (!fn) return;
+      fn();
+      done_.store(true, std::memory_order_release);
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> job_;  // guarded by mu_; empty = exit
+  bool has_job_ = false;       // guarded by mu_
+  std::atomic<bool> done_{false};
+  std::thread th_;  // last: starts after the members it uses
+};
+
+TEST(Progress, StatsFreshPerLaunch) {
+  // Every launch frees its rank state, and a later launch's state may
+  // reuse its address: the next launch's, or the one after (allocators
+  // alternate). Four back-to-back launches from this thread, with two
+  // long-lived injector threads counting into them — one in every launch,
+  // one in every other — so some thread meets a state at the address of
+  // the last state it counted into under either pattern. Counters must
+  // start at 0 and count exactly, never into a freed shard.
+  constexpr int kOps = 100;
+  Helper helpers[2];
+  for (int launch = 0; launch < 4; ++launch) {
+    const int nhelpers = launch % 2 == 0 ? 2 : 1;
+    spmd(1, [&] {
+      const auto st0 = upcxx::experimental::stats();
+      EXPECT_EQ(st0.rputs, 0u);
+      EXPECT_EQ(st0.rgets, 0u);
+      EXPECT_EQ(st0.rpcs_sent, 0u);
+      EXPECT_EQ(st0.rpcs_executed, 0u);
+      auto g = upcxx::allocate<int>(1);
+      upcxx::injector inj;
+      for (int h = 0; h < nhelpers; ++h) {
+        helpers[h].run_with_progress([&] {
+          upcxx::injection_scope scope(inj);
+          for (int i = 0; i < kOps; ++i) upcxx::rput(i, g).wait();
+          EXPECT_EQ(upcxx::rget(g).wait(), kOps - 1);
+        });
+      }
+      upcxx::rput(7, g).wait();
+      upcxx::rpc(0, [] {}).wait();
+      const auto st = upcxx::experimental::stats();
+      EXPECT_EQ(st.rputs, static_cast<std::uint64_t>(nhelpers * kOps + 1));
+      EXPECT_EQ(st.rgets, static_cast<std::uint64_t>(nhelpers));
+      EXPECT_EQ(st.rpcs_sent, 1u);
+      EXPECT_EQ(st.rpcs_executed, 1u);
+      upcxx::deallocate(g);
+    });
+  }
 }
 
 // --------------------------- simulated wire latency ------------------------
