@@ -8,6 +8,8 @@
 //                    {global_ptr, len} in the local map; the value data then
 //                    travels by one-sided rput chained with .then (the
 //                    paper's second listing). Better for larger values.
+//                    The owner frees zones it replaces or erases, but only
+//                    once the writer that received the zone released it.
 //   * OldApi       — the v0.1 reconstruction from §V-A: *blocking* remote
 //                    allocation followed by *blocking* RMA, with events; the
 //                    ablation bench shows the latency/overlap penalty.
@@ -18,6 +20,7 @@
 // RPC(pointer lookup) + rget for RpcRma.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -153,16 +156,50 @@ struct lz_t {
 };
 
 class RpcRmaMap {
-  using LocalMap = std::unordered_map<std::string, lz_t>;
+  // Owner-side state. A zone make_lz hands out stays pinned until its
+  // writer's release arrives, sent once the writer's rput has completed.
+  // A zone replaced or erased while pinned is only marked and is freed on
+  // release: freeing it at once would let the next allocation reuse memory
+  // the late rput still writes (two ranks inserting one key, or one rank
+  // pipelining two inserts of it).
+  struct Local {
+    std::unordered_map<std::string, lz_t> map;
+    // Zone -> replaced or erased while pinned (free on release).
+    std::unordered_map<upcxx::global_ptr<char>, bool> pinned;
+
+    // A zone left the map: free it now, or on its release.
+    void retire(upcxx::global_ptr<char> z) {
+      auto it = pinned.find(z);
+      if (it != pinned.end())
+        it->second = true;
+      else
+        upcxx::deallocate(z);
+    }
+    void release(upcxx::global_ptr<char> z) {
+      auto it = pinned.find(z);
+      assert(it != pinned.end() && "release of a zone never pinned");
+      if (it->second) upcxx::deallocate(z);
+      pinned.erase(it);
+    }
+  };
 
  public:
   explicit RpcRmaMap(const upcxx::team& tm = upcxx::world())
-      : tm_(&tm), store_(LocalMap{}) {}
+      : tm_(&tm), store_(Local{}) {}
 
+  // Landing zones live in our segment; reclaim them. First wait for this
+  // rank's own inserts (their last step uses the map) and for the releases
+  // still owed to it — each writer sends its release once its rput
+  // completes — so none arrives for a destroyed map, where it would wait
+  // forever like any RPC naming a missing dist_object. A failed job gives
+  // up on them, and the zones they pin are freed regardless.
   ~RpcRmaMap() {
-    // Landing zones live in our segment; reclaim them.
-    for (auto& [k, lz] : *store_)
-      if (!lz.gptr.is_null()) upcxx::deallocate(lz.gptr);
+    while ((inserts_ || !store_->pinned.empty()) &&
+           !upcxx::detail::job_failed())
+      upcxx::progress();
+    for (auto& [k, lz] : store_->map) upcxx::deallocate(lz.gptr);
+    for (auto& [z, retired] : store_->pinned)
+      if (retired) upcxx::deallocate(z);
   }
 
   upcxx::intrank_t get_target(const std::string& key) const {
@@ -172,34 +209,45 @@ class RpcRmaMap {
   }
 
   // The paper's two-phase insert: RPC make_lz for the landing zone, then a
-  // .then-chained zero-copy rput of the value bytes.
+  // .then-chained zero-copy rput of the value bytes, then a one-way release
+  // of the zone's pin.
   upcxx::future<> insert(const std::string& key, const std::string& val) {
     upcxx::future<upcxx::global_ptr<char>> f = upcxx::rpc(
         (*tm_)[get_target(key)],
-        // make_lz: allocate space and record the landing zone (runs at the
-        // owner; returns a global pointer suitable for RMA). An overwrite
-        // frees the replaced zone here, as erase does — it lives in the
-        // owner's segment.
-        [](upcxx::dist_object<LocalMap>& lm, const std::string& k,
+        // make_lz: allocate space, pin it and record the landing zone (runs
+        // at the owner; returns a global pointer suitable for RMA). An
+        // overwrite retires the replaced zone here, as erase does — it
+        // lives in the owner's segment.
+        [](upcxx::dist_object<Local>& lo, const std::string& k,
            std::uint64_t len) {
           const lz_t lz{upcxx::allocate<char>(static_cast<std::size_t>(len)),
                         static_cast<std::size_t>(len)};
-          auto [it, fresh] = lm->try_emplace(k, lz);
+          if (!lz.gptr.is_null()) lo->pinned.emplace(lz.gptr, false);
+          auto [it, fresh] = lo->map.try_emplace(k, lz);
           if (!fresh) {
-            if (!it->second.gptr.is_null())
-              upcxx::deallocate(it->second.gptr);
+            lo->retire(it->second.gptr);
             it->second = lz;
           }
           return lz.gptr;
         },
         store_, key, static_cast<std::uint64_t>(val.size() + 1));
     auto v = std::make_shared<std::string>(val);
-    return f.then([v](upcxx::global_ptr<char> dest) {
+    ++inserts_;
+    return f.then([this, v](upcxx::global_ptr<char> dest) {
       // Large values ride the asynchronous data-motion engine, which reads
       // the source bytes from later progress polls — anchor them to the
       // operation future instead of letting the continuation's capture die
       // when this lambda returns.
-      return upcxx::rput(v->c_str(), dest, v->size() + 1).then([v] {});
+      return upcxx::rput(v->c_str(), dest, v->size() + 1)
+          .then([this, v, dest] {
+            --inserts_;
+            if (dest.is_null()) return;
+            upcxx::rpc_ff(
+                dest.where(),
+                [](upcxx::dist_object<Local>& lo,
+                   upcxx::global_ptr<char> z) { lo->release(z); },
+                store_, dest);
+          });
     });
   }
 
@@ -207,9 +255,9 @@ class RpcRmaMap {
   upcxx::future<std::optional<std::string>> find(const std::string& key) {
     upcxx::future<lz_t> f = upcxx::rpc(
         (*tm_)[get_target(key)],
-        [](upcxx::dist_object<LocalMap>& lm, const std::string& k) {
-          auto it = lm->find(k);
-          if (it == lm->end()) return lz_t{};
+        [](upcxx::dist_object<Local>& lo, const std::string& k) {
+          auto it = lo->map.find(k);
+          if (it == lo->map.end()) return lz_t{};
           return it->second;
         },
         store_, key);
@@ -226,16 +274,17 @@ class RpcRmaMap {
     });
   }
 
-  // Asynchronous erase: the owner drops the mapping and frees the landing
-  // zone (it lives in the owner's segment, so the owner must deallocate).
+  // Asynchronous erase: the owner drops the mapping and retires the
+  // landing zone (it lives in the owner's segment, so the owner must
+  // deallocate).
   upcxx::future<bool> erase(const std::string& key) {
     return upcxx::rpc(
         (*tm_)[get_target(key)],
-        [](upcxx::dist_object<LocalMap>& lm, const std::string& k) {
-          auto it = lm->find(k);
-          if (it == lm->end()) return false;
-          if (!it->second.gptr.is_null()) upcxx::deallocate(it->second.gptr);
-          lm->erase(it);
+        [](upcxx::dist_object<Local>& lo, const std::string& k) {
+          auto it = lo->map.find(k);
+          if (it == lo->map.end()) return false;
+          lo->retire(it->second.gptr);
+          lo->map.erase(it);
           return true;
         },
         store_, key);
@@ -253,11 +302,12 @@ class RpcRmaMap {
     return pr.finalize();
   }
 
-  std::size_t local_size() const { return store_->size(); }
+  std::size_t local_size() const { return store_->map.size(); }
 
  private:
   const upcxx::team* tm_;
-  upcxx::dist_object<LocalMap> store_;
+  upcxx::dist_object<Local> store_;
+  std::size_t inserts_ = 0;  // issued here, release not yet sent
 };
 
 // ------------------------------------------------------------------- OldApi

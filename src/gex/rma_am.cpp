@@ -582,6 +582,7 @@ RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
   OwedAcks oa{std::move(p.acks_owed), std::move(p.racks_owed)};
   p.acks_owed.clear();
   p.racks_owed.clear();
+  p.owed_n.store(0, std::memory_order_release);
   return oa;
 }
 
@@ -911,7 +912,10 @@ int RmaAmProtocol::flush_sendq(Peer& p) {
   // Consumer-only drain. Pop + credit claim under the peer lock (ignoring
   // the sendq_n gate — we ARE the queue), the send itself outside it: a
   // send may spin on a full ring, and a helper blocked on p.mu for that
-  // long would stall its whole issue pass.
+  // long would stall its whole issue pass. An empty queue is skipped
+  // without the lock: a request a helper parks after the peek waits for
+  // the next poll.
+  if (p.sendq_n.load(std::memory_order_acquire) == 0) return 0;
   int work = 0;
   for (;;) {
     QueuedReq q;
@@ -1080,15 +1084,16 @@ int RmaAmProtocol::poll_requests() {
 int RmaAmProtocol::flush_acks() {
   int work = 0;
   // Acks and racks no request or reply carried: one combined multi-ack
-  // record per indebted target per flush.
+  // record per indebted target per flush. Peers owing nothing are skipped
+  // on the lock-free count; a debt recorded after the peek goes out on the
+  // next flush.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Peer& pr = *peers_[i];
-    {
-      arch::SpinGuard g(pr.mu);
-      if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
-    }
+    if (pr.owed_n.load(std::memory_order_acquire) == 0) continue;
     const int target = pr.target;
     auto oa = take_acks(target);
+    // A helper's send to this peer may have carried them since the peek.
+    if (oa.acks.empty() && oa.racks.empty()) continue;
     auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_ack>(),
                            sizeof(AckHdr) + oa_bytes(oa));
     auto* q = static_cast<std::byte*>(sb.data);
@@ -1147,6 +1152,7 @@ void RmaAmProtocol::fail_all_peers() {
     p.sendq_n.store(0, std::memory_order_release);
     p.acks_owed.clear();
     p.racks_owed.clear();
+    p.owed_n.store(0, std::memory_order_release);
     p.outstanding.store(0, std::memory_order_release);
     for (auto& b : p.stage_pool) heap.deallocate(b.p);
     p.stage_pool.clear();

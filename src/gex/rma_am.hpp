@@ -429,7 +429,10 @@ class RmaAmProtocol {
   // the state both the consumer and helper issue passes touch; critical
   // sections stay bounded (never across a send or a spin). `outstanding`
   // is the credit counter, claimed by CAS against window_now; `sendq_n`
-  // mirrors sendq.size() for lock-free peeks (can_accept, credits).
+  // mirrors sendq.size() and `owed_n` the two owed lists' total, both
+  // stored under `mu`, for lock-free peeks (can_accept, credits, and the
+  // idle-poll skips in flush_sendq/flush_acks — a stale read only delays
+  // the work to the next poll).
   // reply_pool/reply_out are consumer-only plain state.
   struct Peer {
     Peer(int t, std::uint32_t start, std::uint32_t max, double envelope)
@@ -438,6 +441,7 @@ class RmaAmProtocol {
     AmWindowController ctrl;
     std::atomic<std::uint32_t> outstanding{0};  // on the wire, not retired
     std::atomic<std::size_t> sendq_n{0};        // mirrors sendq.size()
+    std::atomic<std::size_t> owed_n{0};  // acks_owed + racks_owed sizes
     mutable arch::Spinlock mu;
     std::deque<QueuedReq> sendq;
     std::vector<std::uint64_t> acks_owed;
@@ -514,11 +518,13 @@ class RmaAmProtocol {
     Peer& p = peer(src);
     arch::SpinGuard g(p.mu);
     p.acks_owed.push_back(cookie);
+    p.owed_n.fetch_add(1, std::memory_order_release);
   }
   void owe_rack(int src, std::uint64_t cookie) {
     Peer& p = peer(src);
     arch::SpinGuard g(p.mu);
     p.racks_owed.push_back(cookie);
+    p.owed_n.fetch_add(1, std::memory_order_release);
   }
   // Records the wire-send time of `cookie` for adaptive RTT sampling
   // (no-op when the window is pinned).

@@ -184,6 +184,12 @@ int XferEngine::retire_landed(Channel& ch) {
 }
 
 int XferEngine::poll(int chunk_budget) {
+  // Idle: nothing submitted or in flight, so no channel has work. Submits
+  // count into inflight_count_ before they are placed, so a stale zero
+  // only defers a concurrent submit to the next poll.
+  if (inflight_count_.load(std::memory_order_acquire) == 0 &&
+      deferred_submits_.empty())
+    return 0;
   int work = flush_deferred();
   const std::vector<Channel*> chans = snapshot();
   if (chans.empty()) return work;

@@ -126,6 +126,7 @@ class device_allocator {
                                std::size_t align = alignof(T)) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "device memory holds trivially copyable objects");
+    if (n > SIZE_MAX / sizeof(T)) return {};
     void* p = heap_->allocate(n * sizeof(T), align < 16 ? 16 : align);
     if (!p) return {};
     return global_ptr<T, kind>::from_raw(gex::rank_me(),

@@ -127,12 +127,14 @@ static_assert(std::is_trivially_copyable_v<global_ptr<int>>,
 // ------------------------------------------------------ segment allocation
 
 // Allocates n objects of type T (uninitialized) from the calling rank's
-// shared segment. Returns null global_ptr on exhaustion.
+// shared segment. Returns null global_ptr on exhaustion, and when n objects
+// would not fit in a size_t.
 template <typename T>
 global_ptr<T> allocate(std::size_t n = 1,
                        std::size_t align = alignof(T)) {
   auto* r = gex::self();
   assert(r && "allocate() outside SPMD region");
+  if (n > SIZE_MAX / sizeof(T)) return {};
   void* p = r->arena->segment_heap(r->me).allocate(n * sizeof(T), align);
   if (!p) return {};
   return global_ptr<T>::from_raw(r->me, static_cast<T*>(p));

@@ -317,6 +317,54 @@ TEST(DhtRpcRma, EraseFreesLandingZone) {
   });
 }
 
+TEST(DhtRpcRma, ConcurrentSameKeyInsertsAreMemorySafe) {
+  // Every rank pipelines inserts of the same keys, so owners replace a
+  // key's zone while the writer it was handed to has not done its rput.
+  // The replaced zone must stay allocated until that writer releases it:
+  // freed early, the next allocation reuses it and the late rput corrupts
+  // another value or the heap's own bookkeeping.
+  static constexpr int kKeys = 8, kRounds = 32;
+  spmd(4, [] {
+    const int me = upcxx::rank_me();
+    // Writer r's value in round i: a rank-specific length, r and i in its
+    // first two bytes, the rest one rank-specific letter.
+    auto value = [](int r, int i) {
+      std::string v(1000 + 997 * static_cast<std::size_t>(r),
+                    static_cast<char>('A' + r));
+      v[0] = static_cast<char>(r);
+      v[1] = static_cast<char>(i);
+      return v;
+    };
+    auto key = [](int k) { return "key" + std::to_string(k); };
+    auto& seg = gex::self()->arena->segment_heap(me);
+    upcxx::barrier();
+    const std::size_t free0 = seg.bytes_free();
+    {
+      dht::RpcRmaMap map;
+      upcxx::barrier();
+      std::vector<upcxx::future<>> futs;
+      for (int i = 0; i < kRounds; ++i)
+        for (int k = 0; k < kKeys; ++k)
+          futs.push_back(map.insert(key(k), value(me, i)));
+      for (auto& f : futs) f.wait();
+      upcxx::barrier();
+      for (int k = 0; k < kKeys; ++k) {
+        const auto got = map.find(key(k)).wait();
+        ASSERT_TRUE(got.has_value()) << key(k);
+        ASSERT_GE(got->size(), 2u);
+        const int r = static_cast<unsigned char>((*got)[0]);
+        const int i = static_cast<unsigned char>((*got)[1]);
+        ASSERT_LT(r, upcxx::rank_n());
+        ASSERT_LT(i, kRounds);
+        EXPECT_EQ(*got, value(r, i)) << key(k);
+      }
+      upcxx::barrier();
+    }
+    upcxx::barrier();
+    EXPECT_EQ(seg.bytes_free(), free0);
+  });
+}
+
 TEST(DhtRpcRma, OverwriteFreesLandingZone) {
   // Overwriting a key replaces its landing zone; the owner must free the
   // old one (as erase does), or every overwrite leaks a zone's worth of

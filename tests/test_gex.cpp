@@ -124,6 +124,124 @@ TEST_F(HeapTest, StressRandomAllocFree) {
   for (auto& [p, n] : live) heap_->deallocate(p);
 }
 
+TEST_F(HeapTest, HugeRequestReturnsNull) {
+  // Header + bytes + alignment slack must not wrap around to a small block.
+  const std::size_t before = heap_->bytes_free();
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(heap_->allocate(huge - 8), nullptr);
+  EXPECT_EQ(heap_->allocate(huge), nullptr);
+  EXPECT_EQ(heap_->allocate(huge - 4096, 4096), nullptr);
+  EXPECT_EQ(heap_->allocate(64, std::size_t{1} << 63), nullptr);
+  EXPECT_EQ(heap_->allocate(heap_->bytes_total()), nullptr);
+  EXPECT_EQ(heap_->bytes_free(), before);
+  EXPECT_NE(heap_->allocate(64), nullptr);
+}
+
+TEST_F(HeapTest, MixedAlignmentChurnRestoresInitialState) {
+  const std::size_t free0 = heap_->bytes_free();
+  const std::size_t big0 = heap_->largest_free_block();
+  struct Live {
+    unsigned char* p;
+    std::size_t n;
+    unsigned char tag;
+  };
+  arch::Xoshiro256 rng(11);
+  std::vector<Live> live;
+  const std::size_t aligns[] = {16, 64, 4096};
+  for (int i = 0; i < 20000; ++i) {
+    if (live.empty() || rng.next_below(5) < 3) {
+      const std::size_t n = 1 + rng.next_below(rng.next_below(8) ? 512 : 9000);
+      const std::size_t align = aligns[rng.next_below(3)];
+      auto* p = static_cast<unsigned char*>(heap_->allocate(n, align));
+      if (!p) continue;
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
+      ASSERT_TRUE(heap_->contains(p) && heap_->contains(p + n - 1));
+      const auto tag = static_cast<unsigned char>(i);
+      std::memset(p, tag, n);
+      live.push_back({p, n, tag});
+    } else {
+      const std::size_t k = rng.next_below(live.size());
+      const Live l = live[k];
+      // No other block was handed memory this one owns.
+      for (std::size_t j = 0; j < l.n; ++j) ASSERT_EQ(l.p[j], l.tag);
+      heap_->deallocate(l.p);
+      live[k] = live.back();
+      live.pop_back();
+    }
+  }
+  for (const auto& l : live) heap_->deallocate(l.p);
+  EXPECT_EQ(heap_->bytes_free(), free0);
+  EXPECT_EQ(heap_->largest_free_block(), big0);
+}
+
+TEST_F(HeapTest, ExactFitReuse) {
+  // Fill the heap with one size until nothing fits, then free one block in
+  // the middle: the only fitting block is now exactly the request's size,
+  // and a request that size must get it back.
+  constexpr std::size_t kSize = 1100;  // not a size-class boundary
+  std::vector<void*> blocks;
+  while (void* p = heap_->allocate(kSize)) blocks.push_back(p);
+  ASSERT_GT(blocks.size(), 16u);
+  void* hole = blocks[blocks.size() / 2];
+  heap_->deallocate(hole);
+  EXPECT_EQ(heap_->allocate(kSize), hole);
+  EXPECT_EQ(heap_->allocate(kSize), nullptr);
+}
+
+TEST(Heap, SixtyFourKiBRegion) {
+  // The size of the device segments test_memory_kinds carves.
+  std::vector<std::byte> region(64 << 10);
+  auto* h = gex::SharedHeap::create(region.data(), region.size());
+  const std::size_t free0 = h->bytes_free();
+  EXPECT_GT(free0, std::size_t{60} << 10);
+  EXPECT_EQ(h->largest_free_block(), free0);
+  EXPECT_EQ(h->allocate(64 << 10), nullptr);
+  std::vector<void*> blocks;
+  while (void* p = h->allocate(4096)) blocks.push_back(p);
+  EXPECT_GE(blocks.size(), 14u);
+  for (void* p : blocks) h->deallocate(p);
+  EXPECT_EQ(h->bytes_free(), free0);
+  EXPECT_EQ(h->largest_free_block(), free0);
+}
+
+TEST_F(HeapTest, ConcurrentThreadsShareOneHeap) {
+  // The global heap is shared by every rank: four threads allocate, fill,
+  // verify and free on one heap at once.
+  const std::size_t free0 = heap_->bytes_free();
+  std::atomic<bool> corrupt{false};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 4; ++t) {
+    ts.emplace_back([&, t] {
+      arch::Xoshiro256 rng(100 + t);
+      std::vector<std::pair<unsigned char*, std::size_t>> live;
+      const auto tag = static_cast<unsigned char>(0xA0 + t);
+      for (int i = 0; i < 5000; ++i) {
+        if (live.size() < 8 && (live.empty() || rng.next_below(2) == 0)) {
+          const std::size_t n = 16 + rng.next_below(4096);
+          auto* p = static_cast<unsigned char*>(
+              heap_->allocate(n, rng.next_below(4) ? 16 : 64));
+          if (!p) continue;
+          std::memset(p, tag, n);
+          live.emplace_back(p, n);
+        } else {
+          const std::size_t k = rng.next_below(live.size());
+          auto [p, n] = live[k];
+          for (std::size_t j = 0; j < n; ++j)
+            if (p[j] != tag) corrupt = true;
+          heap_->deallocate(p);
+          live[k] = live.back();
+          live.pop_back();
+        }
+      }
+      for (auto& [p, n] : live) heap_->deallocate(p);
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_FALSE(corrupt.load());
+  EXPECT_EQ(heap_->bytes_free(), free0);
+  EXPECT_EQ(heap_->largest_free_block(), free0);
+}
+
 // -------------------------------------------------------------------- Arena
 
 TEST(Arena, LayoutAndOwnership) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -46,6 +47,17 @@ TEST(MemoryKinds, SegmentExhaustionReturnsNull) {
     // A reasonable allocation still succeeds afterwards.
     auto ok = dev.allocate<double>(512);
     EXPECT_FALSE(ok.is_null());
+  });
+}
+
+TEST(MemoryKinds, OverflowingCountReturnsNull) {
+  solo([] {
+    // n * sizeof(T) wraps to 8 bytes; both allocators must refuse rather
+    // than hand out a block for the wrapped size.
+    const std::size_t n = std::numeric_limits<std::size_t>::max() / 8 + 2;
+    EXPECT_TRUE(upcxx::allocate<double>(n).is_null());
+    upcxx::device_allocator<upcxx::sim_device> dev(64 << 10);
+    EXPECT_TRUE(dev.allocate<double>(n).is_null());
   });
 }
 

@@ -202,6 +202,63 @@ TEST(AmAckAggregation, OneAckRecordPerTargetPerPoll) {
   EXPECT_EQ(fails, 0);
 }
 
+// The idle-poll peeks: flush_acks skips a peer on its lock-free owed count
+// and flush_sendq skips an empty queue without the peer lock. They may only
+// skip work that is not there — nothing owed sends nothing, an owed ack
+// goes out in one record on the next flush, and a request parked behind a
+// full window still leaves once its credit returns.
+TEST(AmIdlePoll, PeeksSkipOnlyAbsentWork) {
+  g_phase = 0;
+  g_done = 0;
+  gex::Config cfg = testutil::test_cfg(2);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  cfg.am_window = 1;
+  const int fails = upcxx::run(cfg, [] {
+    static upcxx::global_ptr<long> remote;
+    if (upcxx::rank_me() == 1) remote = upcxx::new_array<long>(2);
+    upcxx::barrier();
+    auto& proto = gex::rma_am();
+    if (upcxx::rank_me() == 0) {
+      const auto s0 = proto.stats();
+      EXPECT_EQ(proto.flush_acks(), 0);
+      EXPECT_EQ(proto.stats().acks_sent, s0.acks_sent);
+      // Window 1: the second put parks behind the first one's credit.
+      const long a = 1, b = 2;
+      proto.put(1, remote.local(), &a, sizeof a, [] { g_done.fetch_add(1); });
+      proto.put(1, remote.local() + 1, &b, sizeof b,
+                [] { g_done.fetch_add(1); });
+      EXPECT_EQ(proto.queued(), 1u);
+      g_phase.store(1, std::memory_order_release);
+      while (g_done.load() < 2) pump();
+      EXPECT_EQ(proto.queued(), 0u);
+      EXPECT_TRUE(proto.idle());
+      g_phase.store(2, std::memory_order_release);
+    } else {
+      while (g_phase.load(std::memory_order_acquire) < 1)
+        std::this_thread::yield();
+      const auto before = proto.stats();
+      while (proto.stats().puts_handled == before.puts_handled)
+        gex::am().poll();
+      EXPECT_EQ(proto.stats().acks_sent, before.acks_sent);
+      EXPECT_EQ(proto.flush_acks(), 1);
+      EXPECT_EQ(proto.stats().acks_sent - before.acks_sent, 1u);
+      EXPECT_EQ(proto.stats().ack_cookies_sent - before.ack_cookies_sent, 1u);
+      // Paid off: the next flush has nothing to send.
+      EXPECT_EQ(proto.flush_acks(), 0);
+      EXPECT_EQ(proto.stats().acks_sent - before.acks_sent, 1u);
+      while (g_phase.load(std::memory_order_acquire) < 2) pump();
+    }
+    upcxx::barrier();
+    if (upcxx::rank_me() == 1) {
+      EXPECT_EQ(remote.local()[0], 1);
+      EXPECT_EQ(remote.local()[1], 2);
+      upcxx::delete_array(remote, 2);
+    }
+    upcxx::barrier();
+  });
+  EXPECT_EQ(fails, 0);
+}
+
 // Ack piggybacking: a target that owes acks and then sends its own request
 // in the reverse direction carries those acks on the request record — no
 // standalone ack record at all.
