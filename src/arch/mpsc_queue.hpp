@@ -4,9 +4,8 @@
 // Push is wait-free for producers — one atomic exchange on the head plus a
 // release store linking the previous node — so any number of injector
 // threads can enqueue without ever spinning on each other. Pop is
-// single-consumer: only the thread draining the queue (or threads
-// serialized by an external lock, which is how the progress pool's
-// work-stealing uses it) may call try_pop/empty_hint.
+// single-consumer: only the thread draining the queue may call
+// try_pop/empty_hint.
 //
 // The classic subtlety: a producer that has exchanged the head but not yet
 // linked its predecessor leaves the chain momentarily broken. try_pop

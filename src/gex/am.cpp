@@ -7,7 +7,6 @@
 #include <new>
 #include <thread>
 
-#include "arch/atomics.hpp"
 #include "arch/timer.hpp"
 #include "gex/agg.hpp"
 #include "gex/runtime.hpp"
@@ -54,14 +53,12 @@ void release_frame(void* handle) {
   }
 }
 
-AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
-                                    bool may_poll) {
+AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n) {
   assert(target >= 0 && target < arena_->nranks());
   SendBuf sb;
   sb.size = n;
   sb.target = target;
   sb.handler = h;
-  sb.may_poll = may_poll;
   // Rendezvous stages the payload in the shared heap and ships only a
   // descriptor — meaningless when the peer cannot read our memory, so on
   // such transports (socket) every payload goes inline, whatever
@@ -82,10 +79,8 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
       // Target ring full: drain our own inbox so a cyclic backlog cannot
       // deadlock, then retry. Yield when the drain found nothing — on an
       // oversubscribed host the consumer needs the core to make room.
-      // Off-consumer senders (may_poll false) only yield: poll() is
-      // single-consumer and the real consumer is running elsewhere.
-      arch::relaxed_inc(stats_.send_stalls);
-      if (!may_poll || poll() == 0) std::this_thread::yield();
+      ++stats_.send_stalls;
+      if (poll() == 0) std::this_thread::yield();
       arch::cpu_relax();
     }
   }
@@ -98,15 +93,15 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
       sb.data = buf;
       return sb;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (!may_poll || poll() == 0) std::this_thread::yield();
+    ++stats_.send_stalls;
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
 
 AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
                                           HandlerIdx uniform_handler,
-                                          bool uniform, bool may_poll) {
+                                          bool uniform) {
   assert(target >= 0 && target < arena_->nranks());
   assert(n <= max_frame_payload() && "frame exceeds one ring record");
   SendBuf sb;
@@ -115,7 +110,6 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
   sb.frame = true;
   sb.uniform = uniform;
   sb.handler = uniform_handler;
-  sb.may_poll = may_poll;
   for (;;) {
     auto t = transport_->try_reserve(target, sizeof(WireHeader) + n);
     if (t.payload) {
@@ -123,8 +117,8 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
       sb.data = static_cast<std::byte*>(t.payload) + sizeof(WireHeader);
       return sb;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (!may_poll || poll() == 0) std::this_thread::yield();
+    ++stats_.send_stalls;
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
@@ -140,9 +134,9 @@ void AmEngine::commit(SendBuf& sb) {
     wh->send_ns = arch::now_ns();
     transport_->commit(sb.ticket);
     if (sb.frame)
-      arch::relaxed_inc(stats_.sent_frames);
+      ++stats_.sent_frames;
     else
-      arch::relaxed_inc(stats_.sent_eager);
+      ++stats_.sent_eager;
     return;
   }
   for (;;) {
@@ -158,11 +152,11 @@ void AmEngine::commit(SendBuf& sb) {
       d->buf = arena_->segmap().encode(sb.data);
       d->size = sb.size;
       transport_->commit(t);
-      arch::relaxed_inc(stats_.sent_rendezvous);
+      ++stats_.sent_rendezvous;
       return;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (!sb.may_poll || poll() == 0) std::this_thread::yield();
+    ++stats_.send_stalls;
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
@@ -281,7 +275,7 @@ int AmEngine::poll(int max_msgs) {
           cx.frame = fb;
           sink_(cx);
           release_frame(fb);
-          arch::relaxed_inc(stats_.received_frames);
+          ++stats_.received_frames;
           return;
         }
         std::size_t off = 0;
@@ -302,7 +296,7 @@ int AmEngine::poll(int max_msgs) {
                  arch::align_up(mh->size, kFrameAlign);
         }
         release_frame(fb);  // drop poll's own reference
-        arch::relaxed_inc(stats_.received_frames);
+        ++stats_.received_frames;
         return;
       }
       AmContext cx;
@@ -334,7 +328,7 @@ int AmEngine::poll(int max_msgs) {
         &visit);
     if (!got) break;
     handled += delivered;
-    arch::relaxed_add(stats_.received, static_cast<std::uint64_t>(delivered));
+    stats_.received += static_cast<std::uint64_t>(delivered);
   }
   return handled;
 }

@@ -137,13 +137,8 @@ class AmEngine {
   // to `target`, serialize into .data, then commit(). Never fails; if the
   // target ring is full the call polls its own inbox while spinning, which
   // guarantees progress (every rank stuck sending still drains its inbox, so
-  // some ring in the cycle eventually empties).
-  //
-  // may_poll = false marks a send issued off the consumer thread (an
-  // injection-shard drain by a progress-pool helper): poll() is strictly
-  // single-consumer, so a stalled reserve then only yields — the real
-  // consumer keeps draining and eventually makes room. Senders that ARE
-  // the consumer must leave it true or a cyclic backlog can deadlock.
+  // some ring in the cycle eventually empties). Like poll(), sending is
+  // the rank owner's job: the thread holding the master persona.
   struct SendBuf {
     void* data = nullptr;
     std::size_t size = 0;
@@ -156,10 +151,8 @@ class AmEngine {
     bool rendezvous = false;
     bool frame = false;
     bool uniform = false;
-    bool may_poll = true;  // carried into commit's rendezvous reserve spin
   };
-  SendBuf prepare(int target, HandlerIdx h, std::size_t n,
-                  bool may_poll = true);
+  SendBuf prepare(int target, HandlerIdx h, std::size_t n);
   void commit(SendBuf& sb);
 
   // Reserves a frame record of `n` payload bytes (packed sub-messages, laid
@@ -168,8 +161,7 @@ class AmEngine {
   // handler, pass it as uniform_handler (with uniform = true) so the
   // receiver can hand the whole frame to a sink in one call.
   SendBuf prepare_frame(int target, std::size_t n,
-                        HandlerIdx uniform_handler, bool uniform,
-                        bool may_poll = true);
+                        HandlerIdx uniform_handler, bool uniform);
 
   // Registers a whole-frame delivery sink for uniform frames addressed to
   // handler `h`: instead of one handler call per sub-message, poll() makes
@@ -208,11 +200,7 @@ class AmEngine {
   // Frees a rendezvous buffer previously adopt()ed by a handler.
   void release_rendezvous(void* buf) { arena_->heap().deallocate(buf); }
 
-  // Counters (per rank, for tests and the micro_am bench). Fields stay
-  // plain u64 (printf-able); the engine bumps them through
-  // arch::relaxed_inc since reserve/commit may run concurrently on
-  // injector-drain threads. Read exactly after a quiesce, or via
-  // arch::relaxed_load mid-run.
+  // Counters (per rank, for tests and the micro_am bench).
   struct Stats {
     std::uint64_t sent_eager = 0;
     std::uint64_t sent_rendezvous = 0;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "arch/cacheline.hpp"
 
@@ -188,23 +187,6 @@ void Config::normalize() {
   // A sub-1 envelope would declare every ack late; 0 stays 0 (auto).
   if (!(am_rtt_envelope >= 1.0) || !std::isfinite(am_rtt_envelope))
     am_rtt_envelope = 0;
-  if (progress_threads < 1) progress_threads = 1;
-  // A pool wider than the machine only adds context-switch pressure on the
-  // very loops that are supposed to soak idle cores; clamp loudly so a
-  // fat-fingered width is visible (hardware_concurrency may report 0 on
-  // exotic hosts — no clamp then, the user knows better than we do).
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0 && progress_threads > static_cast<int>(hw)) {
-    std::fprintf(stderr,
-                 "gex: clamping progress_threads=%d to hardware "
-                 "concurrency (%u)\n",
-                 progress_threads, hw);
-    progress_threads = static_cast<int>(hw);
-  }
-  if (inject_shards < 1) inject_shards = 1;
-  if (inject_shards > 64) inject_shards = 64;
-  if (submit_shards < 1) submit_shards = 1;
-  if (submit_shards > 64) submit_shards = 64;
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
   // must be page-aligned for MAP_FIXED_NOREPLACE.
@@ -297,12 +279,6 @@ Config Config::from_env() {
                    v);
     }
   }
-  c.progress_threads = static_cast<int>(env_positive(
-      "UPCXX_PROGRESS_THREADS", static_cast<long>(c.progress_threads)));
-  c.inject_shards = static_cast<std::uint32_t>(env_positive(
-      "UPCXX_INJECT_SHARDS", static_cast<long>(c.inject_shards)));
-  c.submit_shards = static_cast<std::uint32_t>(env_positive(
-      "UPCXX_SUBMIT_SHARDS", static_cast<long>(c.submit_shards)));
   c.socket_max_record =
       static_cast<std::size_t>(env_positive(
           "UPCXX_SOCKET_MAX_RECORD_KB",

@@ -93,26 +93,6 @@ struct Config {
   std::size_t am_xfer_chunk_bytes = 64 << 10;  // UPCXX_AM_CHUNK_KB
   // AM transport selection (see enum above).
   AmTransport am_transport = AmTransport::kAuto;  // UPCXX_AM_TRANSPORT
-  // Progress-pool width (upcxx::progress_pool): how many dedicated
-  // progress threads pump the rank when the app hands progress off. 1
-  // reproduces upcxx::progress_thread exactly (one worker owning the
-  // master persona); N > 1 adds N-1 helpers that drain the injection
-  // wire shards (partitioned by shard index, stealing when their
-  // partition is idle) while worker 0 keeps engine polling — engines
-  // stay single-consumer by construction.
-  int progress_threads = 1;               // UPCXX_PROGRESS_THREADS
-  // Injection wire shards: off-persona sends are staged into
-  // shard[target % inject_shards], so unrelated targets never contend
-  // on one queue and pool helpers can drain disjoint shards in
-  // parallel. Clamped to [1, 64].
-  std::uint32_t inject_shards = 4;        // UPCXX_INJECT_SHARDS
-  // Submit-queue shards: off-persona op closures (engine submits,
-  // collective entries, protocol put/get) are staged into
-  // shard[hash(thread) % submit_shards], keeping each injector thread's
-  // submissions FIFO while spreading unrelated threads across queue
-  // tails. All shards are drained by the master persona. Clamped to
-  // [1, 64].
-  std::uint32_t submit_shards = 4;        // UPCXX_SUBMIT_SHARDS
   // ------------------------------------------------- socket transport
   // Largest record the socket transport advertises via
   // Transport::max_record_payload (the stream itself accepts any size;

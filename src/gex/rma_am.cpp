@@ -1,11 +1,10 @@
 #include "gex/rma_am.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <thread>
 
-#include "arch/atomics.hpp"
-#include "arch/spinlock.hpp"
 #include "arch/timer.hpp"
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
@@ -190,7 +189,7 @@ struct RmaAmHandlers {
       std::memcpy(reinterpret_cast<void*>(
                       static_cast<std::uintptr_t>(p.wire_dec(h.dst))),
                   q, bytes);
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -213,7 +212,7 @@ struct RmaAmHandlers {
         reinterpret_cast<const void*>(
             static_cast<std::uintptr_t>(p.wire_dec(h.buf))),
         static_cast<std::size_t>(h.bytes));
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -239,7 +238,7 @@ struct RmaAmHandlers {
       off += static_cast<std::size_t>(d.bytes);
     }
     assert(off == static_cast<std::size_t>(h.payload_bytes));
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -264,7 +263,7 @@ struct RmaAmHandlers {
     assert(sizeof(FragHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) +
                h.nfrags * sizeof(FragDesc) + off ==
            cx.size);
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -316,16 +315,8 @@ struct RmaAmHandlers {
     const auto* payload = consume_acks(
         p, static_cast<const std::byte*>(cx.data) + sizeof(RepHdr), h.nacks);
     payload = consume_racks(p, cx.src, payload, h.nracks);
-    // Map lookup under the lock; the node reference stays valid after
-    // release (unordered_map nodes are stable under concurrent inserts
-    // from injected sends, and only this thread — the consumer — erases).
-    const RmaAmProtocol::Pending* pd = nullptr;
-    {
-      arch::SpinGuard g(p.pending_mu_);
-      auto it = p.pending_.find(h.cookie);
-      if (it != p.pending_.end()) pd = &it->second;
-    }
-    if (!pd) {
+    auto it = p.pending_.find(h.cookie);
+    if (it == p.pending_.end()) {
       // The request was cancelled (fail_all_peers) before this reply
       // arrived; the landing buffers may be gone, so drop the payload.
       ++p.stats_.stale_completions;
@@ -334,7 +325,7 @@ struct RmaAmHandlers {
     // Scatter while the payload is alive (eager payloads die with the
     // handler); completion itself is deferred to poll().
     std::size_t off = 0;
-    for (const auto& f : pd->scatter) {
+    for (const auto& f : it->second.scatter) {
       if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
       off += f.bytes;
     }
@@ -356,21 +347,16 @@ struct RmaAmHandlers {
         p, static_cast<const std::byte*>(cx.data) + sizeof(RepStagedHdr),
         h.nacks);
     consume_racks(p, cx.src, q, h.nracks);
-    p.owe_rack(cx.src, h.cookie);
-    const RmaAmProtocol::Pending* pd = nullptr;
-    {
-      arch::SpinGuard g(p.pending_mu_);
-      auto it = p.pending_.find(h.cookie);
-      if (it != p.pending_.end()) pd = &it->second;
-    }
-    if (!pd) {
+    p.peer(cx.src).racks_owed.push_back(h.cookie);
+    auto it = p.pending_.find(h.cookie);
+    if (it == p.pending_.end()) {
       ++p.stats_.stale_completions;
       return;
     }
     const auto* payload = reinterpret_cast<const std::byte*>(
         static_cast<std::uintptr_t>(p.wire_dec(h.buf)));
     std::size_t off = 0;
-    for (const auto& f : pd->scatter) {
+    for (const auto& f : it->second.scatter) {
       if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
       off += f.bytes;
     }
@@ -406,23 +392,17 @@ RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w,
       max_window_(w.adaptive ? adaptive_ceiling(am)
                              : (w.window ? w.window : 1)),
       envelope_(rtt_envelope) {
-  // The constructing thread is the consumer until poll_requests re-stamps
-  // (progress-thread migration moves the role with the poll loop).
-  consumer_tm_.store(thread_marker(), std::memory_order_relaxed);
-  // One peer per rank up front: peer() becomes an index, and helper issue
-  // passes hold stable references without a container lock. Every peer
+  // One peer per rank up front: peer() becomes an index. Every peer
   // starts its controller at the configured window; pinned mode never
   // consults it (window_now short-circuits on adaptive_).
   const int n = am_->arena().config().ranks;
   peers_.reserve(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t)
-    peers_.push_back(
-        std::make_unique<Peer>(t, window_, max_window_, envelope_));
+    peers_.emplace_back(t, window_, max_window_, envelope_);
 }
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
                                          std::vector<LocalFrag> scatter) {
-  arch::SpinGuard g(pending_mu_);
   const std::uint64_t cookie = next_cookie_++;
   pending_.emplace(cookie,
                    Pending{target, std::move(done), std::move(scatter)});
@@ -430,61 +410,42 @@ std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
 }
 
 bool RmaAmProtocol::claim_outstanding(Peer& p) {
-  std::uint32_t cur = p.outstanding.load(std::memory_order_relaxed);
-  const std::uint32_t w = window_now(p);
-  while (cur < w) {
-    if (p.outstanding.compare_exchange_weak(cur, cur + 1,
-                                            std::memory_order_acq_rel)) {
-      arch::relaxed_max(stats_.max_outstanding, cur + 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool RmaAmProtocol::try_claim_credit(Peer& p) {
-  // Queued requests go first — only flush_sendq (consumer) drains those,
-  // claiming credits past this check.
-  if (p.sendq_n.load(std::memory_order_acquire) != 0) return false;
-  return claim_outstanding(p);
+  if (p.outstanding >= window_now(p)) return false;
+  ++p.outstanding;
+  if (p.outstanding > stats_.max_outstanding)
+    stats_.max_outstanding = p.outstanding;
+  return true;
 }
 
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
                                                      std::size_t bytes) {
-  {
-    // Smallest pooled buffer that fits; the pool holds at most `window`
-    // entries (one per possible in-flight request), so the scan is short.
-    arch::SpinGuard g(p.mu);
-    std::size_t best = p.stage_pool.size();
-    for (std::size_t i = 0; i < p.stage_pool.size(); ++i) {
-      if (p.stage_pool[i].cap < bytes) continue;
-      if (best == p.stage_pool.size() ||
-          p.stage_pool[i].cap < p.stage_pool[best].cap)
-        best = i;
-    }
-    if (best != p.stage_pool.size()) {
-      StageBuf b = p.stage_pool[best];
-      p.stage_pool[best] = p.stage_pool.back();
-      p.stage_pool.pop_back();
-      return b;
-    }
+  // Smallest pooled buffer that fits; the pool holds at most `window`
+  // entries (one per possible in-flight request), so the scan is short.
+  std::size_t best = p.stage_pool.size();
+  for (std::size_t i = 0; i < p.stage_pool.size(); ++i) {
+    if (p.stage_pool[i].cap < bytes) continue;
+    if (best == p.stage_pool.size() ||
+        p.stage_pool[i].cap < p.stage_pool[best].cap)
+      best = i;
+  }
+  if (best != p.stage_pool.size()) {
+    StageBuf b = p.stage_pool[best];
+    p.stage_pool[best] = p.stage_pool.back();
+    p.stage_pool.pop_back();
+    return b;
   }
   // Pool miss: carve a fresh block, rounded up so a stream of slightly
-  // varying sizes converges on one reusable size class (the shared heap
-  // is internally locked — any thread may allocate). On an exhausted
-  // heap the consumer spins with poll, like the AmEngine's rendezvous
-  // path — but bails out (null buffer; the caller cancels) once the error
-  // flag is up: the blocks we are waiting for may be bounce buffers
-  // pinned by a dead peer's never-coming acks. A *helper* must not poll,
-  // so it takes one attempt and returns null — its caller requeues the
-  // request for the consumer to retry.
+  // varying sizes converges on one reusable size class. On an exhausted
+  // heap spin with poll, like the AmEngine's rendezvous path — but bail
+  // out (null buffer; the caller cancels) once the error flag is up: the
+  // blocks we are waiting for may be bounce buffers pinned by a dead
+  // peer's never-coming acks.
   std::size_t cap = 4096;
   while (cap < bytes) cap <<= 1;
-  arch::relaxed_inc(stats_.stage_allocs);
+  ++stats_.stage_allocs;
   auto& heap = am_->arena().heap();
   for (;;) {
     if (void* buf = heap.allocate(cap)) return StageBuf{buf, cap};
-    if (!on_consumer()) return StageBuf{};
     if (am_->arena().control().error_flag.value.load(
             std::memory_order_acquire) != 0)
       return StageBuf{};
@@ -495,12 +456,9 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
 
 void RmaAmProtocol::recycle_stage(Peer& p, StageBuf buf) {
   if (!buf.p) return;
-  {
-    arch::SpinGuard g(p.mu);
-    if (p.stage_pool.size() < window_now(p)) {
-      p.stage_pool.push_back(buf);
-      return;
-    }
+  if (p.stage_pool.size() < window_now(p)) {
+    p.stage_pool.push_back(buf);
+    return;
   }
   am_->arena().heap().deallocate(buf.p);
 }
@@ -578,39 +536,32 @@ RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
   // which polls our own inbox, whose handlers append fresh owed acks —
   // those wait for the next record.
   Peer& p = peer(target);
-  arch::SpinGuard g(p.mu);
   OwedAcks oa{std::move(p.acks_owed), std::move(p.racks_owed)};
   p.acks_owed.clear();
   p.racks_owed.clear();
-  p.owed_n.store(0, std::memory_order_release);
   return oa;
 }
 
 void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
-  arch::relaxed_inc(stats_.requests_queued);
-  // Bounded queue: past the slack, the injecting *consumer* call makes
-  // progress until a slot frees. Our own inbox keeps draining (acks retire
-  // credits, which sends queued requests), so mutual floods advance in
-  // lockstep instead of deadlocking. A set error flag means the acks may
-  // never come — park the request regardless; teardown's fail_all_peers()
-  // reclaims it. The cap uses the window *ceiling*, not the moving
-  // operating point — a shrink must not strand already-parked requests
-  // behind a tighter bound. A helper cannot poll, so it parks
-  // unconditionally: only the consumer's flush_sendq grows the queue past
-  // the cap from the helper side, and it drains as fast as it grows.
+  ++stats_.requests_queued;
+  // Bounded queue: past the slack, the injecting call makes progress until
+  // a slot frees. Our own inbox keeps draining (acks retire credits, which
+  // sends queued requests), so mutual floods advance in lockstep instead
+  // of deadlocking. A set error flag means the acks may never come — park
+  // the request regardless; teardown's fail_all_peers() reclaims it. The
+  // cap uses the window *ceiling*, not the moving operating point — a
+  // shrink must not strand already-parked requests behind a tighter bound.
   const std::size_t cap = window() + kQueueSlack;
-  while (on_consumer() &&
-         p.sendq_n.load(std::memory_order_acquire) >= cap &&
+  while (p.sendq.size() >= cap &&
          am_->arena().control().error_flag.value.load(
              std::memory_order_acquire) == 0) {
-    arch::relaxed_inc(stats_.send_stalls);
+    ++stats_.send_stalls;
     if (am_->poll() + poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
-  arch::SpinGuard g(p.mu);
   p.sendq.push_back(std::move(q));
-  p.sendq_n.store(p.sendq.size(), std::memory_order_release);
-  arch::relaxed_max(stats_.queued_peak, p.sendq.size());
+  stats_.queued_peak =
+      std::max<std::uint64_t>(stats_.queued_peak, p.sendq.size());
 }
 
 // A staged send found the heap exhausted while the job is failing: the
@@ -618,39 +569,18 @@ void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
 // drop the pending entry (its done callback is destroyed, not fired) and
 // return the credit the caller just consumed.
 void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
-  {
-    arch::SpinGuard g(pending_mu_);
-    pending_.erase(cookie);
-  }
-  arch::relaxed_inc(stats_.cancelled);
-  const auto prev = p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-  assert(prev > 0);
-  (void)prev;
-}
-
-// Helper-side staged-put fallback: release the claimed credit and park the
-// request (owned payload copy) for the consumer's flush_sendq to retry —
-// a helper must not poll-spin on the exhausted heap, and cancel_sent would
-// silently drop the data.
-void RmaAmProtocol::requeue_put(Peer& p, std::uint64_t cookie,
-                                const Frag& dst, const void* src) {
-  p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-  QueuedReq q{QueuedReq::kPut, cookie, {dst}, {}};
-  const auto bytes = static_cast<std::size_t>(dst.bytes);
-  if (bytes)
-    q.payload.assign(static_cast<const std::byte*>(src),
-                     static_cast<const std::byte*>(src) + bytes);
-  enqueue(p, std::move(q));
+  pending_.erase(cookie);
+  ++stats_.cancelled;
+  assert(p.outstanding > 0);
+  --p.outstanding;
 }
 
 // Stamps the wire-send time on a just-sent request so the completion loop
 // can feed the request→ack round trip to the peer's window controller.
 void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
   if (!adaptive_) return;
-  const std::uint64_t now = arch::now_ns();
-  arch::SpinGuard g(pending_mu_);
   auto it = pending_.find(cookie);
-  if (it != pending_.end()) it->second.send_ns = now;
+  if (it != pending_.end()) it->second.send_ns = arch::now_ns();
 }
 
 void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
@@ -660,13 +590,10 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
   // the acks push an inline record past eager_max, AmEngine::prepare
   // falls back to its rendezvous staging transparently.
   if (sizeof(PutHdr) + bytes <= inline_cutoff(am_)) {
-    // Small put: payload inline in the ring record. Helpers prepare with
-    // may_poll=false — on a full ring they yield-spin while the *target*
-    // drains it; only the consumer may poll its own inbox here.
+    // Small put: payload inline in the ring record.
     auto oa = take_acks(target);
     auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_put>(),
-                           sizeof(PutHdr) + oa_bytes(oa) + bytes,
-                           /*may_poll=*/on_consumer());
+                           sizeof(PutHdr) + oa_bytes(oa) + bytes);
     auto* q = static_cast<std::byte*>(sb.data);
     const PutHdr h{cookie, wire_enc(dst.addr),
                    static_cast<std::uint32_t>(oa.acks.size()),
@@ -675,9 +602,9 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
     q = write_oa(q + sizeof h, oa);
     if (bytes) std::memcpy(q, src, bytes);
     am_->commit(sb);
-    arch::relaxed_inc(stats_.puts_sent);
-    arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-    arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+    ++stats_.puts_sent;
+    stats_.acks_piggybacked += oa.acks.size();
+    stats_.reply_acks_piggybacked += oa.racks.size();
     note_wire_send(cookie);
     return;
   }
@@ -685,28 +612,17 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
   Peer& p = peer(target);
   StageBuf stage = acquire_stage(p, bytes);
   if (!stage.p) {
-    // Exhausted heap: a helper parks the request for the consumer to
-    // retry; the consumer only gets here when the job is failing, and
-    // cancels.
-    if (!on_consumer() &&
-        am_->arena().control().error_flag.value.load(
-            std::memory_order_acquire) == 0)
-      requeue_put(p, cookie, dst, src);
-    else
-      cancel_sent(p, cookie);
+    // Exhausted heap: only while the job is failing.
+    cancel_sent(p, cookie);
     return;
   }
   auto oa = take_acks(target);
   std::memcpy(stage.p, src, bytes);
-  {
-    arch::SpinGuard g(pending_mu_);
-    auto it = pending_.find(cookie);
-    if (it != pending_.end()) it->second.stage = stage;
-  }
+  if (auto it = pending_.find(cookie); it != pending_.end())
+    it->second.stage = stage;
   auto sb = am_->prepare(target,
                          am_handler<&RmaAmHandlers::on_put_staged>(),
-                         sizeof(PutStagedHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
+                         sizeof(PutStagedHdr) + oa_bytes(oa));
   auto* q = static_cast<std::byte*>(sb.data);
   const PutStagedHdr h{cookie, wire_enc(dst.addr),
                        am_->arena().segmap().encode(stage.p),
@@ -716,10 +632,10 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
   std::memcpy(q, &h, sizeof h);
   write_oa(q + sizeof h, oa);
   am_->commit(sb);
-  arch::relaxed_inc(stats_.puts_sent);
-  arch::relaxed_inc(stats_.puts_staged);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+  ++stats_.puts_sent;
+  ++stats_.puts_staged;
+  stats_.acks_piggybacked += oa.acks.size();
+  stats_.reply_acks_piggybacked += oa.racks.size();
   note_wire_send(cookie);
 }
 
@@ -727,8 +643,7 @@ void RmaAmProtocol::send_get(int target, std::uint64_t cookie,
                              const Frag& src) {
   auto oa = take_acks(target);
   auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_get>(),
-                         sizeof(GetHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
+                         sizeof(GetHdr) + oa_bytes(oa));
   auto* q = static_cast<std::byte*>(sb.data);
   const GetHdr h{cookie, wire_enc(src.addr), src.bytes,
                  static_cast<std::uint32_t>(oa.acks.size()),
@@ -736,9 +651,9 @@ void RmaAmProtocol::send_get(int target, std::uint64_t cookie,
   std::memcpy(q, &h, sizeof h);
   write_oa(q + sizeof h, oa);
   am_->commit(sb);
-  arch::relaxed_inc(stats_.gets_sent);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+  ++stats_.gets_sent;
+  stats_.acks_piggybacked += oa.acks.size();
+  stats_.reply_acks_piggybacked += oa.racks.size();
   note_wire_send(cookie);
 }
 
@@ -769,9 +684,9 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
       q += srcs[i].bytes;
     }
     am_->commit(sb);
-    arch::relaxed_inc(stats_.frag_puts_sent);
-    arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-    arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+    ++stats_.frag_puts_sent;
+    stats_.acks_piggybacked += oa.acks.size();
+    stats_.reply_acks_piggybacked += oa.racks.size();
     note_wire_send(cookie);
     return;
   }
@@ -796,15 +711,11 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
     if (srcs[i].bytes) std::memcpy(q, srcs[i].ptr, srcs[i].bytes);
     q += srcs[i].bytes;
   }
-  {
-    arch::SpinGuard g(pending_mu_);
-    auto it = pending_.find(cookie);
-    if (it != pending_.end()) it->second.stage = stage;
-  }
+  if (auto it = pending_.find(cookie); it != pending_.end())
+    it->second.stage = stage;
   auto sb = am_->prepare(target,
                          am_handler<&RmaAmHandlers::on_put_frag_staged>(),
-                         sizeof(FragStagedHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
+                         sizeof(FragStagedHdr) + oa_bytes(oa));
   auto* w = static_cast<std::byte*>(sb.data);
   const FragStagedHdr h{cookie, am_->arena().segmap().encode(stage.p),
                         total, static_cast<std::uint32_t>(dsts.size()),
@@ -813,10 +724,10 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
   std::memcpy(w, &h, sizeof h);
   write_oa(w + sizeof h, oa);
   am_->commit(sb);
-  arch::relaxed_inc(stats_.frag_puts_sent);
-  arch::relaxed_inc(stats_.puts_staged);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+  ++stats_.frag_puts_sent;
+  ++stats_.puts_staged;
+  stats_.acks_piggybacked += oa.acks.size();
+  stats_.reply_acks_piggybacked += oa.racks.size();
   note_wire_send(cookie);
 }
 
@@ -838,9 +749,9 @@ void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
     q += sizeof fd;
   }
   am_->commit(sb);
-  arch::relaxed_inc(stats_.frag_gets_sent);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+  ++stats_.frag_gets_sent;
+  stats_.acks_piggybacked += oa.acks.size();
+  stats_.reply_acks_piggybacked += oa.racks.size();
   note_wire_send(cookie);
 }
 
@@ -909,23 +820,12 @@ void RmaAmProtocol::get_fragments(int target, const std::vector<Frag>& srcs,
 }
 
 int RmaAmProtocol::flush_sendq(Peer& p) {
-  // Consumer-only drain. Pop + credit claim under the peer lock (ignoring
-  // the sendq_n gate — we ARE the queue), the send itself outside it: a
-  // send may spin on a full ring, and a helper blocked on p.mu for that
-  // long would stall its whole issue pass. An empty queue is skipped
-  // without the lock: a request a helper parks after the peek waits for
-  // the next poll.
-  if (p.sendq_n.load(std::memory_order_acquire) == 0) return 0;
+  // Pop before sending: a send may spin on a full ring and poll, which
+  // can re-enter this drain.
   int work = 0;
-  for (;;) {
-    QueuedReq q;
-    {
-      arch::SpinGuard g(p.mu);
-      if (p.sendq.empty() || !claim_outstanding(p)) break;
-      q = std::move(p.sendq.front());
-      p.sendq.pop_front();
-      p.sendq_n.store(p.sendq.size(), std::memory_order_release);
-    }
+  while (!p.sendq.empty() && claim_outstanding(p)) {
+    QueuedReq q = std::move(p.sendq.front());
+    p.sendq.pop_front();
     switch (q.kind) {
       case QueuedReq::kPut:
         send_put(p.target, q.cookie, q.remote[0], q.payload.data());
@@ -949,9 +849,6 @@ int RmaAmProtocol::flush_sendq(Peer& p) {
 }
 
 int RmaAmProtocol::poll_requests() {
-  // The poll loop defines the consumer: re-stamp every pass so the role
-  // follows a progress-thread migration (constructor thread vs worker 0).
-  consumer_tm_.store(thread_marker(), std::memory_order_relaxed);
   int work = 0;
   // Swap-to-local idiom throughout: every send below may spin on a full
   // ring, which polls our own inbox, whose handlers append to these very
@@ -966,21 +863,15 @@ int RmaAmProtocol::poll_requests() {
     // before this poll began, so now >= send_ns for each.
     const std::uint64_t now = adaptive_ ? arch::now_ns() : 0;
     for (const std::uint64_t cookie : comp) {
-      decltype(pending_)::node_type node;
-      {
-        arch::SpinGuard g(pending_mu_);
-        node = pending_.extract(cookie);
-      }
+      auto node = pending_.extract(cookie);
       if (node.empty()) {
         // Cancelled by fail_all_peers before the ack arrived.
         ++stats_.stale_completions;
         continue;
       }
       Peer& p = peer(node.mapped().target);
-      const auto prev =
-          p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      assert(prev > 0 && "ack for a request never sent");
-      (void)prev;
+      assert(p.outstanding > 0 && "ack for a request never sent");
+      --p.outstanding;
       // The target is done with the bounce buffer once its ack arrived.
       recycle_stage(p, node.mapped().stage);
       // Feed the request→ack round trip to this peer's controller; its
@@ -990,8 +881,8 @@ int RmaAmProtocol::poll_requests() {
         if (d > 0) ++stats_.window_grow;
         if (d < 0) ++stats_.window_shrink;
       }
-      // Extracted from the map (and outside every lock) before firing:
-      // the callback may issue new protocol ops.
+      // Extracted from the map before firing: the callback may issue new
+      // protocol ops.
       Done done = std::move(node.mapped().done);
       if (done) done();
       ++work;
@@ -999,7 +890,7 @@ int RmaAmProtocol::poll_requests() {
   }
   // Freed credits release window-blocked requests.
   for (std::size_t i = 0; i < peers_.size(); ++i)
-    work += flush_sendq(*peers_[i]);
+    work += flush_sendq(peers_[i]);
   if (!replies_.empty()) {
     auto reps = std::move(replies_);
     replies_.clear();
@@ -1043,8 +934,8 @@ int RmaAmProtocol::poll_requests() {
           am_->commit(sb);
           ++stats_.replies_sent;
           ++stats_.replies_staged;
-          arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-          arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+          stats_.acks_piggybacked += oa.acks.size();
+          stats_.reply_acks_piggybacked += oa.racks.size();
           ++work;
           continue;
         }
@@ -1073,8 +964,8 @@ int RmaAmProtocol::poll_requests() {
       }
       am_->commit(sb);
       ++stats_.replies_sent;
-      arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-      arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+      stats_.acks_piggybacked += oa.acks.size();
+      stats_.reply_acks_piggybacked += oa.racks.size();
       ++work;
     }
   }
@@ -1084,16 +975,12 @@ int RmaAmProtocol::poll_requests() {
 int RmaAmProtocol::flush_acks() {
   int work = 0;
   // Acks and racks no request or reply carried: one combined multi-ack
-  // record per indebted target per flush. Peers owing nothing are skipped
-  // on the lock-free count; a debt recorded after the peek goes out on the
-  // next flush.
+  // record per indebted target per flush.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Peer& pr = *peers_[i];
-    if (pr.owed_n.load(std::memory_order_acquire) == 0) continue;
+    Peer& pr = peers_[i];
+    if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
     const int target = pr.target;
     auto oa = take_acks(target);
-    // A helper's send to this peer may have carried them since the peek.
-    if (oa.acks.empty() && oa.racks.empty()) continue;
     auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_ack>(),
                            sizeof(AckHdr) + oa_bytes(oa));
     auto* q = static_cast<std::byte*>(sb.data);
@@ -1111,16 +998,10 @@ int RmaAmProtocol::flush_acks() {
 }
 
 bool RmaAmProtocol::idle() const {
-  {
-    arch::SpinGuard g(pending_mu_);
-    if (!pending_.empty()) return false;
-  }
-  if (!replies_.empty() || !completed_.empty()) return false;
-  for (const auto& pp : peers_) {
-    const Peer& p = *pp;
-    if (p.sendq_n.load(std::memory_order_acquire) != 0) return false;
-    arch::SpinGuard g(p.mu);
-    if (!p.acks_owed.empty() || !p.racks_owed.empty() ||
+  if (!pending_.empty() || !replies_.empty() || !completed_.empty())
+    return false;
+  for (const Peer& p : peers_) {
+    if (!p.sendq.empty() || !p.acks_owed.empty() || !p.racks_owed.empty() ||
         !p.reply_out.empty())
       return false;
   }
@@ -1128,32 +1009,25 @@ bool RmaAmProtocol::idle() const {
 }
 
 void RmaAmProtocol::fail_all_peers() {
-  // Teardown path (consumer, with helpers quiesced by the caller). Every
-  // request (in flight or queued) has a pending_ entry; dropping the map
+  // Teardown path. Every request (in flight or queued) has a pending_
+  // entry; dropping the map
   // cancels them all — done callbacks are destroyed, never fired, and the
   // arena error flag is the failure signal user code observes. Bounce
   // buffers go back to the shared heap (a dead target may still copy from
   // one, but it reads stale bytes at worst — it can no longer complete
   // anything).
   auto& heap = am_->arena().heap();
-  {
-    arch::SpinGuard g(pending_mu_);
-    stats_.cancelled += pending_.size();
-    for (auto& [cookie, pd] : pending_)
-      if (pd.stage.p) heap.deallocate(pd.stage.p);
-    pending_.clear();
-  }
+  stats_.cancelled += pending_.size();
+  for (auto& [cookie, pd] : pending_)
+    if (pd.stage.p) heap.deallocate(pd.stage.p);
+  pending_.clear();
   completed_.clear();
   replies_.clear();
-  for (auto& pp : peers_) {
-    Peer& p = *pp;
-    arch::SpinGuard g(p.mu);
+  for (Peer& p : peers_) {
     p.sendq.clear();
-    p.sendq_n.store(0, std::memory_order_release);
     p.acks_owed.clear();
     p.racks_owed.clear();
-    p.owed_n.store(0, std::memory_order_release);
-    p.outstanding.store(0, std::memory_order_release);
+    p.outstanding = 0;
     for (auto& b : p.stage_pool) heap.deallocate(b.p);
     p.stage_pool.clear();
     // The reply side mirrors the put side: pooled buffers go back to the
@@ -1190,11 +1064,10 @@ XferEngine::WireOps RmaAmProtocol::wire_ops() {
   ops.credits = [this](int target) -> std::uint32_t {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
       return window_now(target);
-    const Peer& p = *peers_[static_cast<std::size_t>(target)];
-    if (p.sendq_n.load(std::memory_order_acquire) != 0) return 0;
+    const Peer& p = peers_[static_cast<std::size_t>(target)];
+    if (!p.sendq.empty()) return 0;
     const std::uint32_t w = window_now(p);
-    const std::uint32_t out = p.outstanding.load(std::memory_order_relaxed);
-    return out < w ? w - out : 0;
+    return p.outstanding < w ? w - p.outstanding : 0;
   };
   return ops;
 }

@@ -98,34 +98,22 @@
 // progress right after AmEngine::poll — performs the deferred sends and
 // fires initiator-side completion callbacks.
 //
-// Threading: per-rank object with a split issue path. The progress persona
-// (worker 0) is the sole *consumer* — it alone runs AmEngine::poll, every
-// request/reply handler, poll_requests/flush_acks, and every completion
-// callback. Request *injection* (put/get — the XferEngine chunk movers) is
-// additionally open to progress-pool helpers running
-// XferEngine::issue_pass: the per-peer state they touch (sendq, owed acks,
-// the put staging pool) sits behind a per-peer spinlock with bounded
-// critical sections (never held across a send or a spin), the credit
-// window is an atomic claimed by CAS, and the pending map has its own
-// lock. Helpers never poll: their AmEngine::prepare calls pass
-// may_poll=false (yield-spin on a full ring, which the *target* drains
-// independently), and on an exhausted staging heap they requeue the
-// request into the sendq instead of poll-spinning. on_consumer() — a
-// thread-local marker stamped by the constructor and refreshed by every
-// poll_requests — tells the two roles apart. Reply staging
-// (reply_pool/reply_out) stays consumer-only plain state.
+// Threading: a per-rank object with one owner — the thread holding the
+// rank's master persona. It injects every request (directly, or as the
+// XferEngine's chunk mover), runs AmEngine::poll and therefore every
+// handler, and fires every completion, so all protocol state is plain
+// data: credits are counters, the per-peer queues and pools are plain
+// containers. Off-persona injectors reach the protocol only through the
+// submit-queue closures the owner runs (upcxx/progress.hpp).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "arch/small_fn.hpp"
-#include "arch/spinlock.hpp"
 #include "gex/am.hpp"
 #include "gex/xfer.hpp"
 
@@ -161,13 +149,10 @@ class AmWindowController {
       : envelope_(envelope >= 1.0 ? envelope : 1.0),
         win_(start ? start : 1),
         max_(max ? max : 1) {
-    if (win_.load(std::memory_order_relaxed) > max_)
-      win_.store(max_, std::memory_order_relaxed);
+    if (win_ > max_) win_ = max_;
   }
 
   // Feeds one ack RTT; returns +1 (window grew), -1 (shrank), 0 (held).
-  // Single-writer (the consumer's completion loop); window() may be read
-  // concurrently by helper issue passes, hence the atomic win_.
   int on_ack(std::uint64_t rtt_ns) {
     if (rtt_floor_ == 0 || rtt_ns < rtt_floor_) {
       rtt_floor_ = rtt_ns;
@@ -177,7 +162,7 @@ class AmWindowController {
       rtt_floor_ += (rtt_ns - rtt_floor_) >> 8;
     }
     ++since_shrink_;
-    const std::uint32_t w = win_.load(std::memory_order_relaxed);
+    const std::uint32_t w = win_;
     const double bound =
         static_cast<double>(rtt_floor_) * envelope_ +
         static_cast<double>(kAmRttSlackNs);
@@ -186,7 +171,7 @@ class AmWindowController {
       // One backoff per windowful: the acks already in flight when the
       // window shrank will mostly look late too — don't charge them.
       if (since_shrink_ >= w && w > 1) {
-        win_.store(w / 2 > 0 ? w / 2 : 1, std::memory_order_relaxed);
+        win_ = w / 2 > 0 ? w / 2 : 1;
         since_shrink_ = 0;
         return -1;
       }
@@ -194,21 +179,19 @@ class AmWindowController {
     }
     if (++timely_ >= w && w < max_) {
       timely_ = 0;
-      win_.store(w + 1, std::memory_order_relaxed);
+      win_ = w + 1;
       return +1;
     }
     return 0;
   }
 
-  std::uint32_t window() const {
-    return win_.load(std::memory_order_relaxed);
-  }
+  std::uint32_t window() const { return win_; }
   std::uint32_t max_window() const { return max_; }
   std::uint64_t rtt_floor_ns() const { return rtt_floor_; }
 
  private:
   double envelope_;
-  std::atomic<std::uint32_t> win_;
+  std::uint32_t win_;
   std::uint32_t max_;
   std::uint64_t rtt_floor_ = 0;
   std::uint32_t timely_ = 0;        // consecutive timely acks since a grow
@@ -246,7 +229,7 @@ class RmaAmProtocol {
   // kMaxAmWindow at 64K chunks would trade a 4MB working set for depth
   // that is pure cache thrash. Budget 1MB, never below the start window.
   // Pre-creates one Peer per rank (Config::ranks), so peer() is an
-  // index — no container mutation races with helper issue passes.
+  // index.
   explicit RmaAmProtocol(AmEngine* am,
                          AmWindowSetting w = {false, kDefaultAmWindow},
                          double rtt_envelope = kDefaultAmRttEnvelope);
@@ -306,15 +289,11 @@ class RmaAmProtocol {
   // ack (the buffer is pinned until the rack arrives).
   bool idle() const;
   // Requests not yet completed, whether on the wire or still queued.
-  std::size_t outstanding() const {
-    arch::SpinGuard g(pending_mu_);
-    return pending_.size();
-  }
+  std::size_t outstanding() const { return pending_.size(); }
   // Requests parked sender-side waiting for credits.
   std::size_t queued() const {
     std::size_t n = 0;
-    for (const auto& p : peers_)
-      n += p->sendq_n.load(std::memory_order_acquire);
+    for (const auto& p : peers_) n += p.sendq.size();
     return n;
   }
   // The pinned window, or — adaptive mode — the controller ceiling
@@ -326,7 +305,7 @@ class RmaAmProtocol {
   std::uint32_t window_now(int target) const {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
       return window_;
-    return window_now(*peers_[target]);
+    return window_now(peers_[target]);
   }
 
   // True when a request to `target` would go straight onto the wire (a
@@ -336,13 +315,11 @@ class RmaAmProtocol {
   // in the sender-side queue. Reads the *current* window, so engine
   // back-pressure follows an adaptive window as it moves: a shrink simply
   // reports not-ready until in-flight requests drain below the new bound.
-  // Pure atomic peeks — safe (and advisory) from any thread.
   bool can_accept(int target) const {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
       return true;
-    const Peer& p = *peers_[target];
-    return p.sendq_n.load(std::memory_order_acquire) == 0 &&
-           p.outstanding.load(std::memory_order_relaxed) < window_now(p);
+    const Peer& p = peers_[target];
+    return p.sendq.empty() && p.outstanding < window_now(p);
   }
 
   // Teardown giving-up path: a peer (or the whole job) failed, its acks and
@@ -425,24 +402,13 @@ class RmaAmProtocol {
   // adaptive controller), the queue of window-blocked requests, the acks
   // and reply-consumption acks this rank owes that target, and both
   // staging pools (put bounce buffers as initiator, reply buffers as
-  // target). `mu` guards sendq / acks_owed / racks_owed / stage_pool —
-  // the state both the consumer and helper issue passes touch; critical
-  // sections stay bounded (never across a send or a spin). `outstanding`
-  // is the credit counter, claimed by CAS against window_now; `sendq_n`
-  // mirrors sendq.size() and `owed_n` the two owed lists' total, both
-  // stored under `mu`, for lock-free peeks (can_accept, credits, and the
-  // idle-poll skips in flush_sendq/flush_acks — a stale read only delays
-  // the work to the next poll).
-  // reply_pool/reply_out are consumer-only plain state.
+  // target). `outstanding` is the credit counter, bounded by window_now.
   struct Peer {
     Peer(int t, std::uint32_t start, std::uint32_t max, double envelope)
         : target(t), ctrl(start, max, envelope) {}
     const int target;
     AmWindowController ctrl;
-    std::atomic<std::uint32_t> outstanding{0};  // on the wire, not retired
-    std::atomic<std::size_t> sendq_n{0};        // mirrors sendq.size()
-    std::atomic<std::size_t> owed_n{0};  // acks_owed + racks_owed sizes
-    mutable arch::Spinlock mu;
+    std::uint32_t outstanding = 0;  // on the wire, not retired
     std::deque<QueuedReq> sendq;
     std::vector<std::uint64_t> acks_owed;
     std::vector<std::uint64_t> racks_owed;  // staged replies consumed here
@@ -464,7 +430,7 @@ class RmaAmProtocol {
     assert(target >= 0 &&
            static_cast<std::size_t>(target) < peers_.size() &&
            "peer rank outside the configured job size");
-    return *peers_[static_cast<std::size_t>(target)];
+    return peers_[static_cast<std::size_t>(target)];
   }
   // The operating window for one peer: pinned, or the controller's current
   // value. Every bound in the protocol (credits, queue cap, both staging
@@ -472,20 +438,6 @@ class RmaAmProtocol {
   // follows an adaptive window as it moves.
   std::uint32_t window_now(const Peer& p) const {
     return adaptive_ ? p.ctrl.window() : window_;
-  }
-  // Consumer identity: poll_requests (and the constructor) stamp the
-  // calling thread's marker; everything checking on_consumer() branches
-  // between consumer behavior (may poll, may spin-with-poll) and helper
-  // behavior (never polls, parks instead of spinning). A stale marker
-  // only *softens* a helper's behavior — the true consumer re-stamps on
-  // its next poll, so it never wrongly classifies itself as a helper
-  // across a blocking spin.
-  static const void* thread_marker() {
-    static thread_local char tm;
-    return &tm;
-  }
-  bool on_consumer() const {
-    return consumer_tm_.load(std::memory_order_relaxed) == thread_marker();
   }
   // Null .p when the job is failing and the heap is exhausted (the blocks
   // may be pinned by a dead peer's unacked requests) — the caller cancels.
@@ -511,38 +463,17 @@ class RmaAmProtocol {
     std::vector<std::uint64_t> racks;  // staged-reply cookies
   };
   OwedAcks take_acks(int target);
-  // Locked appends to the owed lists: handlers (consumer) record debts
-  // while a helper's concurrent send to the same peer may be draining
-  // them through take_acks.
-  void owe_ack(int src, std::uint64_t cookie) {
-    Peer& p = peer(src);
-    arch::SpinGuard g(p.mu);
-    p.acks_owed.push_back(cookie);
-    p.owed_n.fetch_add(1, std::memory_order_release);
-  }
-  void owe_rack(int src, std::uint64_t cookie) {
-    Peer& p = peer(src);
-    arch::SpinGuard g(p.mu);
-    p.racks_owed.push_back(cookie);
-    p.owed_n.fetch_add(1, std::memory_order_release);
-  }
   // Records the wire-send time of `cookie` for adaptive RTT sampling
   // (no-op when the window is pinned).
   void note_wire_send(std::uint64_t cookie);
-  // CAS on p.outstanding against the current window; true means the
-  // caller owns one credit and must send (or release it via cancel_sent /
-  // requeue_put). Fails while anything is parked in the sendq — queued
-  // requests go first, and only flush_sendq (consumer) drains those.
-  bool try_claim_credit(Peer& p);
-  // Claims one credit ignoring the sendq (flush_sendq draining its own
-  // queue). Shared CAS loop with try_claim_credit.
+  // Claims one credit if p.outstanding is below the current window; true
+  // means the caller must send (or release it via cancel_sent).
   bool claim_outstanding(Peer& p);
-  // Helper-side staged-put fallback: the shared heap had no block and a
-  // helper must not poll-spin for one. Releases the claimed credit and
-  // parks the request (with an owned payload copy out of the staging
-  // source) for the consumer's flush_sendq to retry.
-  void requeue_put(Peer& p, std::uint64_t cookie, const Frag& dst,
-                   const void* src);
+  // claim_outstanding, but refused while anything is parked in the sendq:
+  // queued requests go first, and only flush_sendq drains those.
+  bool try_claim_credit(Peer& p) {
+    return p.sendq.empty() && claim_outstanding(p);
+  }
   void enqueue(Peer& p, QueuedReq q);
   // Sends queued requests while credits allow; returns actions performed.
   int flush_sendq(Peer& p);
@@ -562,18 +493,10 @@ class RmaAmProtocol {
   std::uint32_t window_;   // pinned window / adaptive starting window
   std::uint32_t max_window_;  // hard ceiling (== window_ when pinned)
   double envelope_;        // controller RTT envelope factor
-  std::atomic<const void*> consumer_tm_{nullptr};
-  // Guards pending_ and next_cookie_ (injected sends create entries while
-  // the consumer's completion loop extracts them). Never held across a
-  // send, a spin, or a user callback; leaf in the lock order (taken under
-  // an XferEngine channel lock, never with a Peer::mu held).
-  mutable arch::Spinlock pending_mu_;
   std::uint64_t next_cookie_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;  // initiator side
-  // One entry per rank, created up front (indexed by rank id): no
-  // container mutation after construction, so helper issue passes hold
-  // stable references without a container lock.
-  std::vector<std::unique_ptr<Peer>> peers_;
+  // One entry per rank, created up front (indexed by rank id).
+  std::vector<Peer> peers_;
   std::vector<QueuedReply> replies_;   // target side, deferred to poll()
   std::vector<std::uint64_t> completed_;  // acked/replied, done not yet run
   Stats stats_;

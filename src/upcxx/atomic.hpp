@@ -21,7 +21,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "upcxx/collectives.hpp"
 #include "upcxx/global_ptr.hpp"
 #include "upcxx/rpc.hpp"

@@ -70,9 +70,7 @@ inline future<> barrier_async(const team& tm = world()) {
     // earlier injected rpc/rpc_ff sends ride those queues, and the barrier
     // ordering contract covers them too.
     detail::op_context::current().run_at_rank([] {
-      auto& p = detail::persona();
-      for (std::uint32_t s = 0; s < p.n_wire_shards; ++s)
-        detail::drain_wire_shard(p, s, /*may_poll=*/true);
+      detail::drain_wire_shards(detail::persona());
       detail::flush_aggregation();
       detail::drain_xfer_copies();
     });

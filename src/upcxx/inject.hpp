@@ -20,9 +20,11 @@
 //   * Everything else is prepared caller-side (serialization, completion
 //     state, collective fold/deliver closures) and handed to the rank
 //     through lock-free MPSC queues — the thread-hash-sharded submit
-//     queue (PersonaState::submit_shards, UPCXX_SUBMIT_SHARDS) for engine
-//     dispatches, the wire shards for serialized sends — drained by the
-//     progress persona or upcxx::progress_pool helpers inside poll.
+//     queue (PersonaState::submit_shards) for engine dispatches, the
+//     target-sharded wire queues for serialized sends — drained by the
+//     master persona's internal progress. That holder (the primordial
+//     thread's progress loop, or a upcxx::progress_thread) is the only
+//     thread that touches an engine.
 //   * Completions ship back to the initiating thread's own persona inbox,
 //     so the returned futures/promises stay persona-affine: they become
 //     ready during *this thread's* upcxx::progress() / future::wait()

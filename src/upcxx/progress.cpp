@@ -135,14 +135,14 @@ void submit_to_master(PersonaState& st, Lpc fn) {
   // stable thread->shard map gives that while spreading unrelated
   // injectors across queue tails.
   const auto h = std::hash<const void*>{}(thread_marker());
-  st.submit_shards[h % st.n_submit_shards].q.push(std::move(fn));
+  st.submit_shards[h % PersonaState::kSubmitShards].push(std::move(fn));
 }
 
 void submit_wire_send(PersonaState& st, int target, std::uint32_t bytes,
                       std::unique_ptr<std::byte[]> buf) {
-  auto& sh = st.wire_shards[static_cast<std::uint32_t>(target) %
-                            st.n_wire_shards];
-  sh.q.push(PersonaState::WireSend{target, bytes, std::move(buf)});
+  st.wire_shards[static_cast<std::uint32_t>(target) %
+                 PersonaState::kWireShards]
+      .push(PersonaState::WireSend{target, bytes, std::move(buf)});
 }
 
 int drain_submitq(PersonaState& st, int budget) {
@@ -152,8 +152,8 @@ int drain_submitq(PersonaState& st, int budget) {
   // (within its shard) without any cross-shard coordination.
   int work = 0;
   Lpc fn;
-  for (std::uint32_t s = 0; s < st.n_submit_shards && budget > 0; ++s) {
-    auto& q = st.submit_shards[s].q;
+  for (auto& q : st.submit_shards) {
+    if (budget <= 0) break;
     if (q.empty_hint()) continue;
     while (budget > 0 && q.try_pop(fn)) {
       fn();
@@ -164,32 +164,31 @@ int drain_submitq(PersonaState& st, int budget) {
   return work;
 }
 
-int drain_wire_shard(PersonaState& st, std::uint32_t shard, bool may_poll) {
-  auto& sh = st.wire_shards[shard];
-  if (sh.q.empty_hint()) return 0;
-  if (!sh.mu.try_lock()) return 0;  // a competing drainer owns this shard
+int drain_wire_shards(PersonaState& st) {
+  assert(tls_persona == &st && "wire-shard drains need the rank context");
   int work = 0;
   PersonaState::WireSend ws;
-  // Bounded so one drain cannot monopolize a progress call. The lock is
-  // held across reserve -> memcpy -> commit, so a shard's sends hit the
+  auto& eng = *st.rank->am;
+  // Bounded per shard so one drain cannot monopolize a progress call.
+  // Each send is committed before the next pop, so a shard's sends hit the
   // target ring in pop order and the transport's per-pair FIFO carries
   // the ordering end to end.
-  while (work < 64 && sh.q.try_pop(ws)) {
-    auto& eng = *st.rank->am;
-    auto sb = eng.prepare(ws.target, am_delivery_index(), ws.bytes, may_poll);
-    std::memcpy(sb.data, ws.buf.get(), ws.bytes);
-    eng.commit(sb);
-    ++work;
+  for (auto& q : st.wire_shards) {
+    for (int n = 0; n < 64 && q.try_pop(ws); ++n) {
+      auto sb = eng.prepare(ws.target, am_delivery_index(), ws.bytes);
+      std::memcpy(sb.data, ws.buf.get(), ws.bytes);
+      eng.commit(sb);
+      ++work;
+    }
   }
-  sh.mu.unlock();
   return work;
 }
 
 bool inject_queues_empty(PersonaState& st) {
-  for (std::uint32_t s = 0; s < st.n_submit_shards; ++s)
-    if (!st.submit_shards[s].q.empty_hint()) return false;
-  for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
-    if (!st.wire_shards[s].q.empty_hint()) return false;
+  for (const auto& q : st.submit_shards)
+    if (!q.empty_hint()) return false;
+  for (const auto& q : st.wire_shards)
+    if (!q.empty_hint()) return false;
   return true;
 }
 
@@ -365,11 +364,9 @@ void progress(progress_level lvl) {
   // Off-persona injection first: submitted op closures dispatch into the
   // engines (so this poll round already moves their chunks), and staged
   // wire sends reach the target rings ahead of our poll of the replies
-  // they will generate. Shard drains here run with may_poll=true — this
-  // thread IS the wire consumer, so a full-ring stall may self-poll.
+  // they will generate.
   int work = detail::drain_submitq(p, 64);
-  for (std::uint32_t s = 0; s < p.n_wire_shards; ++s)
-    work += detail::drain_wire_shard(p, s, /*may_poll=*/true);
+  work += detail::drain_wire_shards(p);
   work += p.rank->am->poll();
   if (p.rank->rma_am) work += p.rank->rma_am->poll_requests();
   if (p.rank->xfer) work += p.rank->xfer->poll();
@@ -415,14 +412,6 @@ void init_persona() {
   st->sim_latency_ns = r->arena->config().sim_latency_ns;
   st->rma_async_min = r->arena->config().rma_async_min;
   st->rma_wire_am = r->rma_wire_am;
-  st->n_wire_shards = r->arena->config().inject_shards;
-  if (st->n_wire_shards == 0) st->n_wire_shards = 1;
-  st->wire_shards = std::make_unique<detail::PersonaState::WireShard[]>(
-      st->n_wire_shards);
-  st->n_submit_shards = r->arena->config().submit_shards;
-  if (st->n_submit_shards == 0) st->n_submit_shards = 1;
-  st->submit_shards = std::make_unique<detail::PersonaState::SubmitShard[]>(
-      st->n_submit_shards);
   // Aggregated upcxx frames take the whole-frame delivery path.
   r->am->set_frame_sink(detail::am_delivery_index(),
                         &detail::am_frame_delivery);

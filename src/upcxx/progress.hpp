@@ -22,6 +22,7 @@
 // describes, which tests/test_progress.cpp verifies.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -146,22 +147,22 @@ struct PersonaState {
   //   submit_shards  op closures (serialization and cx_state setup already
   //                done caller-side) that need the rank context to
   //                dispatch into the XferEngine / AM RMA protocol.
-  //                Sharded by *initiating thread* (UPCXX_SUBMIT_SHARDS;
-  //                shard = hash(thread marker) mod count) so concurrent
-  //                injectors don't contend on one queue tail while each
-  //                thread's own submissions stay FIFO within its shard —
-  //                the property collective sequence-number agreement and
-  //                per-thread RMA ordering rely on. All shards are drained
-  //                by the master persona's internal progress in fixed
-  //                order.
+  //                Sharded by *initiating thread* (shard = hash(thread
+  //                marker) mod kSubmitShards) so concurrent injectors
+  //                don't contend on one queue tail while each thread's
+  //                own submissions stay FIFO within its shard — the
+  //                property collective sequence-number agreement and
+  //                per-thread RMA ordering rely on.
   //   wire_shards  fully serialized upcxx messages ([idx prefix][body]);
-  //                shard index = target % n_wire_shards, so unrelated
-  //                targets never contend and progress-pool helpers can
-  //                drain disjoint shards in parallel. A drain holds the
-  //                shard lock across pop -> reserve -> memcpy -> commit,
-  //                so one thread's sends to one target stay FIFO end to
-  //                end; ordering against master-side (aggregated) sends
-  //                to the same target is unspecified.
+  //                shard index = target mod kWireShards, so injectors
+  //                aimed at unrelated targets never contend on one queue
+  //                tail. Sends leave a shard in pop order, so one thread's
+  //                sends to one target stay FIFO end to end; ordering
+  //                against master-side (aggregated) sends to the same
+  //                target is unspecified.
+  //
+  // Every shard has one consumer: the master persona's internal progress,
+  // which drains them in fixed order.
   //
   // Completions route the other way: deferred cx_state transitions are
   // shipped to the *initiating* thread's persona inbox (lpc_ff), so
@@ -172,17 +173,10 @@ struct PersonaState {
     std::uint32_t bytes = 0;
     std::unique_ptr<std::byte[]> buf;
   };
-  struct WireShard {
-    arch::Spinlock mu;  // serializes competing drainers (pool stealing)
-    arch::MpscQueue<WireSend> q;
-  };
-  struct SubmitShard {
-    arch::MpscQueue<Lpc> q;
-  };
-  std::unique_ptr<SubmitShard[]> submit_shards;
-  std::uint32_t n_submit_shards = 1;
-  std::unique_ptr<WireShard[]> wire_shards;
-  std::uint32_t n_wire_shards = 1;
+  static constexpr std::uint32_t kSubmitShards = 4;
+  static constexpr std::uint32_t kWireShards = 4;
+  std::array<arch::MpscQueue<Lpc>, kSubmitShards> submit_shards;
+  std::array<arch::MpscQueue<WireSend>, kWireShards> wire_shards;
 
   // Monotone count of actions performed by progress calls on this rank
   // (messages handled, chunks moved, acks pumped, LPCs run). Spin loops
@@ -207,7 +201,7 @@ bool has_persona();
 // accessor — the rank state via either binding; it grants access to the
 // *thread-safe* subset only (config fields, the sharded stats, the
 // MPSC hand-off entry points below). Engine access (state.rank->am etc.)
-// remains the progress personas' exclusive right; op-layer code that
+// remains the master persona holder's exclusive right; op-layer code that
 // touches engines still goes through persona().
 PersonaState& op_state();
 bool has_op_state();
@@ -222,13 +216,10 @@ void submit_to_master(PersonaState& st, Lpc fn);
 // wire-shard drain.
 void submit_wire_send(PersonaState& st, int target, std::uint32_t bytes,
                       std::unique_ptr<std::byte[]> buf);
-// Drain side. drain_submitq requires the rank context (closures dispatch
-// into the engines); drain_wire_shard may run on any thread — it takes the
-// shard's try_lock (returning 0 when a competing drainer holds it) and
-// must pass may_poll=false unless the caller is the wire's consumer
-// thread (see gex::AmEngine::SendBuf). Both return items processed.
+// Drain side, master persona only (both dispatch into the engines). Both
+// return items processed.
 int drain_submitq(PersonaState& st, int budget);
-int drain_wire_shard(PersonaState& st, std::uint32_t shard, bool may_poll);
+int drain_wire_shards(PersonaState& st);
 // True when every injection queue (submitq + all wire shards) looks empty
 // (teardown/idle checks; may be transiently false, never falsely empty at
 // a quiesced rank).

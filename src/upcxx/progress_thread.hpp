@@ -23,14 +23,19 @@
 // The constructing thread must hold the master persona (the default state
 // inside upcxx::run) and must be the one calling stop(). Between
 // construction and stop() it must not initiate communication directly —
-// route everything through lpc().
+// route everything through lpc() or an upcxx::injection_scope
+// (upcxx/inject.hpp).
+//
+// This is the one dedicated-progress helper, and it adds no engine
+// sharing: the progress thread becomes the master-persona holder, so it
+// alone polls the wire, drains the injection queues, issues XferEngine
+// chunks and runs every engine callback. Every engine keeps a single
+// owner at any moment; the persona hand-off is what moves that owner.
 #pragma once
 
 #include <atomic>
-#include <optional>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "gex/rma_am.hpp"
 #include "gex/xfer.hpp"
@@ -41,10 +46,10 @@ namespace upcxx {
 
 class progress_thread {
  public:
-  progress_thread() : master_(&master_persona()) {
+  progress_thread() : st_(&detail::persona()) {
     liberate_master_persona();
     thread_ = std::thread([this] {
-      persona_scope scope(*master_);
+      persona_scope scope(st_->master);
       while (!stop_.load(std::memory_order_acquire)) {
         progress();
         if (!busy()) std::this_thread::yield();
@@ -62,7 +67,7 @@ class progress_thread {
   progress_thread& operator=(const progress_thread&) = delete;
 
   // The migrated master persona — the address for manual lpc_ff etc.
-  persona& master() { return *master_; }
+  persona& master() { return st_->master; }
 
   // Runs fn on the progress thread (which holds the master persona, hence
   // the right to initiate communication); the returned future is fulfilled
@@ -71,19 +76,18 @@ class progress_thread {
   // waits for the transfer itself.
   template <typename Fn>
   auto lpc(Fn&& fn) {
-    return master_->lpc(std::forward<Fn>(fn));
+    return st_->master.lpc(std::forward<Fn>(fn));
   }
 
   // Joins the communication thread and re-acquires the master persona on
-  // the calling thread, which must be the constructing one.
+  // the calling thread, which must be the constructing one. The master goes
+  // back on top of this thread's persona stack exactly as init_persona put
+  // it there, so fini_persona's drop_master pops it at teardown.
   void stop() {
     stop_.store(true, std::memory_order_release);
     thread_.join();
-    // Re-acquire for the remainder of the SPMD body and teardown. The
-    // scope must outlive this helper and the body itself (fini_persona
-    // still needs the master), hence the deliberate leak — the real-UPC++
-    // idiom is a persona_scope in main() outliving finalize().
-    new persona_scope(*master_);
+    detail::adopt_master(st_->master, st_);
+    detail::bind_rank_context(st_);
   }
 
  private:
@@ -95,107 +99,9 @@ class progress_thread {
     return false;
   }
 
-  persona* master_;
+  detail::PersonaState* st_;  // the rank whose master persona migrates
   std::atomic<bool> stop_{false};
   std::thread thread_;
-};
-
-// upcxx::progress_pool — progress_thread generalized to N workers
-// (default width: Config::progress_threads, i.e. UPCXX_PROGRESS_THREADS).
-//
-// Worker 0 *is* a progress_thread: it holds the migrated master persona
-// and runs the full progress loop, staying the wire's single consumer
-// (AmEngine::poll) and the sole drainer of the rank's submit queue (the
-// closures in it need the rank context). Workers 1..N-1 are injection
-// helpers with two jobs:
-//
-//   * drain the MPSC wire shards that injector threads (inject.hpp) fill,
-//     each owning the shards congruent to its index and stealing the rest
-//     when its own slice runs dry;
-//   * run XferEngine::issue_pass over a disjoint slice of the engine's
-//     channels, pushing queued chunks onto the wire in parallel with
-//     worker 0's receive/completion path — per-channel issue locks make
-//     this safe, and helper-issued source callbacks park on the landing
-//     queue for worker 0 to fire (helpers never run user code).
-//
-// Helpers pass may_poll=false everywhere, so a full ring makes them yield
-// rather than touch the engine's single-consumer receive path — the
-// master keeps polling independently, which keeps the stall bounded.
-//
-// A pool of width 1 degenerates to exactly progress_thread; widths above
-// 1 add send-side bandwidth for heavily multi-threaded injection without
-// changing any receive-side or completion-side ownership.
-//
-// Construction/stop discipline matches progress_thread: build on the
-// thread holding the master persona, call stop() from that same thread
-// before the SPMD body returns.
-class progress_pool {
- public:
-  explicit progress_pool(int width = 0) {
-    // Capture the rank state before worker 0 migrates the master persona
-    // away from this thread.
-    st_ = &detail::persona();
-    int w = width > 0 ? width : st_->rank->arena->config().progress_threads;
-    if (w < 1) w = 1;
-    pt_.emplace();
-    for (int idx = 0, nh = w - 1; idx < nh; ++idx)
-      helpers_.emplace_back([this, idx, nh] { helper_loop(idx, nh); });
-  }
-
-  ~progress_pool() {
-    if (pt_) stop();
-  }
-
-  progress_pool(const progress_pool&) = delete;
-  progress_pool& operator=(const progress_pool&) = delete;
-
-  // The migrated master persona (worker 0's).
-  persona& master() { return pt_->master(); }
-
-  // Runs fn on worker 0 (the master-persona holder); see
-  // progress_thread::lpc.
-  template <typename Fn>
-  auto lpc(Fn&& fn) {
-    return pt_->lpc(std::forward<Fn>(fn));
-  }
-
-  // Stops helpers first (they only move already-submitted injector
-  // traffic), then worker 0 — which re-acquires the master persona on the
-  // calling thread, exactly as progress_thread::stop does.
-  void stop() {
-    stop_.store(true, std::memory_order_release);
-    for (auto& t : helpers_) t.join();
-    helpers_.clear();
-    pt_->stop();
-    pt_.reset();
-  }
-
- private:
-  void helper_loop(int idx, int nh) {
-    auto& st = *st_;
-    while (!stop_.load(std::memory_order_acquire)) {
-      int moved = 0;
-      // Own slice first — keeps shard-lock contention low when every
-      // helper has work — then steal across the whole set.
-      for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
-        if (static_cast<int>(s % static_cast<std::uint32_t>(nh)) == idx)
-          moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
-      if (moved == 0)
-        for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
-          moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
-      // Chunk issue for this helper's channel slice: try-locks only, so a
-      // channel worker 0 (or another helper) holds is simply skipped.
-      if (st.rank && st.rank->xfer)
-        moved += st.rank->xfer->issue_pass(
-            8, static_cast<std::size_t>(idx), static_cast<std::size_t>(nh));
-      if (moved == 0) std::this_thread::yield();
-    }
-  }
-
-  detail::PersonaState* st_ = nullptr;
-  std::optional<progress_thread> pt_;
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> helpers_;
 };
 
 }  // namespace upcxx

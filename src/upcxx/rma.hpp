@@ -53,7 +53,6 @@
 #include <memory>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "gex/rma_am.hpp"
 #include "gex/xfer.hpp"
 #include "upcxx/completion.hpp"

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "arch/atomics.hpp"
 #include "arch/spinlock.hpp"
 #include "upcxx/completion.hpp"
 #include "upcxx/future.hpp"

@@ -530,7 +530,6 @@ TEST(Config, NumericKnobsRejectGarbage) {
       "UPCXX_AM_WINDOW",      "UPCXX_AM_CHUNK_KB", "UPCXX_SIM_LATENCY_NS",
       "UPCXX_SIM_BW_GBPS",    "UPCXX_EAGER_MAX",   "UPCXX_RANKS",
       "UPCXX_XFER_CHUNK_KB",  "UPCXX_RING_KB",     "UPCXX_RMA_ASYNC_MIN",
-      "UPCXX_PROGRESS_THREADS", "UPCXX_INJECT_SHARDS", "UPCXX_SUBMIT_SHARDS",
   };
   std::vector<std::pair<const char*, std::string>> saved;
   for (const char* k : knobs) {
@@ -550,13 +549,6 @@ TEST(Config, NumericKnobsRejectGarbage) {
       {"UPCXX_RANKS", "four"},           {"UPCXX_XFER_CHUNK_KB", "256k"},
       {"UPCXX_RING_KB", "99999999999999999999"},  // ERANGE
       {"UPCXX_RMA_ASYNC_MIN", "-1"},
-      {"UPCXX_PROGRESS_THREADS", "many"},
-      {"UPCXX_PROGRESS_THREADS", "0"},
-      {"UPCXX_PROGRESS_THREADS", "-2"},
-      {"UPCXX_INJECT_SHARDS", "8cores"},
-      {"UPCXX_INJECT_SHARDS", "0"},
-      {"UPCXX_SUBMIT_SHARDS", "lots"},
-      {"UPCXX_SUBMIT_SHARDS", "-16"},
   };
   for (const auto& c : cases) {
     setenv(c.name, c.value, 1);
@@ -573,27 +565,7 @@ TEST(Config, NumericKnobsRejectGarbage) {
     EXPECT_EQ(got.ring_bytes, d.ring_bytes) << c.name << "=" << c.value;
     EXPECT_EQ(got.rma_async_min, d.rma_async_min)
         << c.name << "=" << c.value;
-    EXPECT_EQ(got.progress_threads, d.progress_threads)
-        << c.name << "=" << c.value;
-    EXPECT_EQ(got.inject_shards, d.inject_shards)
-        << c.name << "=" << c.value;
-    EXPECT_EQ(got.submit_shards, d.submit_shards)
-        << c.name << "=" << c.value;
     unsetenv(c.name);
-  }
-  // normalize() clamps the threading knobs: a pool wider than the machine
-  // is pulled back to hardware_concurrency (when it reports nonzero), and
-  // shard counts land in [1, 64].
-  {
-    gex::Config t;
-    t.progress_threads = 100000;
-    t.inject_shards = 1000;
-    t.submit_shards = 0;
-    t.normalize();
-    if (const unsigned hw = std::thread::hardware_concurrency(); hw > 0)
-      EXPECT_LE(t.progress_threads, static_cast<int>(hw));
-    EXPECT_EQ(t.inject_shards, 64u);
-    EXPECT_EQ(t.submit_shards, 1u);
   }
 
   // Valid values still parse (the strictness did not break the knobs).

@@ -379,10 +379,10 @@ TEST(Inject, CompletionLpcRunsOnInjectingThread) {
   });
 }
 
-TEST(Inject, ProgressPoolDrainsInjection) {
-  // The pool replaces the master thread's explicit progress loop: worker 0
-  // holds the migrated master persona; helpers drain the wire shards. The
-  // primordial thread just joins the injectors.
+TEST(Inject, ProgressThreadDrainsInjection) {
+  // A progress_thread replaces the master thread's explicit progress loop:
+  // it holds the migrated master persona and drains the submit and wire
+  // shards. The primordial thread just joins the injectors.
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;  // every op goes through the hand-off
   const int fails = upcxx::run(cfg, [] {
@@ -395,7 +395,7 @@ TEST(Inject, ProgressPoolDrainsInjection) {
 
     {
       upcxx::injector inj;
-      upcxx::progress_pool pool(/*width=*/2);
+      upcxx::progress_thread pt;
       std::vector<std::thread> ts;
       for (int t = 0; t < 2; ++t)
         ts.emplace_back([&, t] {
@@ -413,7 +413,7 @@ TEST(Inject, ProgressPoolDrainsInjection) {
           EXPECT_EQ(back, src);
         });
       for (auto& th : ts) th.join();
-      pool.stop();
+      pt.stop();
     }
 
     upcxx::barrier();
