@@ -304,7 +304,7 @@ int main() {
   // (UPCXX_AM_TRANSPORT=socket): every chunk rides a kernel socket instead
   // of a shared ring, staging is inline-only, and completion still waits
   // for acks. No pass/fail floor — loopback throughput is host-dependent —
-  // but the series lands in BENCH_JSON next to the ring transports.
+  // but the series lands in BENCH_JSON next to the mmap series.
   std::printf(
       "\nSocket-transport flood (UPCXX_AM_TRANSPORT=socket: records framed "
       "onto loopback TCP)\n");

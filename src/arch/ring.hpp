@@ -57,14 +57,9 @@ class MpscByteRing {
   std::size_t capacity() const { return capacity_; }
 
   // Largest payload a single record may carry. Anything bigger must go
-  // through the rendezvous path of the AM engine. The static form serves
-  // callers that know the capacity but have no ring instance yet (the
-  // shm-file transport, whose rings appear lazily).
-  static std::size_t max_record_payload(std::size_t capacity) {
-    return capacity / 4 - sizeof(RecordHeader);
-  }
+  // through the rendezvous path of the AM engine.
   std::size_t max_record_payload() const {
-    return max_record_payload(capacity_);
+    return capacity_ / 4 - sizeof(RecordHeader);
   }
 
   // Opaque ticket handed back by try_reserve and redeemed by commit().

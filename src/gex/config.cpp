@@ -86,12 +86,11 @@ RmaWire parse_rma_wire(const char* v) {
 // Same contract for UPCXX_AM_TRANSPORT.
 AmTransport parse_am_transport(const char* v) {
   if (std::strcmp(v, "mmap") == 0) return AmTransport::kMmap;
-  if (std::strcmp(v, "shmfile") == 0) return AmTransport::kShmFile;
   if (std::strcmp(v, "socket") == 0) return AmTransport::kSocket;
   if (std::strcmp(v, "auto") != 0)
     std::fprintf(stderr,
                  "gex: ignoring UPCXX_AM_TRANSPORT=%s (expected "
-                 "auto|mmap|shmfile|socket)\n",
+                 "auto|mmap|socket)\n",
                  v);
   return AmTransport::kAuto;
 }
@@ -113,21 +112,6 @@ AmWindowSetting resolve_am_window(const Config& cfg) {
     }
   }
   return {true, kDefaultAmWindow};
-}
-
-double resolve_am_rtt_envelope(const Config& cfg) {
-  if (cfg.am_rtt_envelope >= 1.0 && std::isfinite(cfg.am_rtt_envelope))
-    return cfg.am_rtt_envelope;
-  if (const char* v = std::getenv("UPCXX_AM_RTT_ENVELOPE"); v && *v) {
-    char* end = nullptr;
-    const double e = std::strtod(v, &end);
-    if (end != v && *end == '\0' && e >= 1.0 && std::isfinite(e)) return e;
-    std::fprintf(stderr,
-                 "gex: ignoring UPCXX_AM_RTT_ENVELOPE=%s (must be a finite "
-                 "factor >= 1)\n",
-                 v);
-  }
-  return kDefaultAmRttEnvelope;
 }
 
 RmaWire resolve_rma_wire(const Config& cfg) {
@@ -184,9 +168,6 @@ void Config::normalize() {
   // am_window 0 means auto (resolve_am_window consults the environment),
   // so normalize leaves it alone.
   if (am_xfer_chunk_bytes < 256) am_xfer_chunk_bytes = 256;
-  // A sub-1 envelope would declare every ack late; 0 stays 0 (auto).
-  if (!(am_rtt_envelope >= 1.0) || !std::isfinite(am_rtt_envelope))
-    am_rtt_envelope = 0;
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
   // must be page-aligned for MAP_FIXED_NOREPLACE.
@@ -267,18 +248,6 @@ Config Config::from_env() {
           "UPCXX_AM_CHUNK_KB",
           static_cast<long>(c.am_xfer_chunk_bytes >> 10)))
       << 10;
-  if (const char* v = std::getenv("UPCXX_AM_RTT_ENVELOPE"); v && *v) {
-    char* end = nullptr;
-    const double e = std::strtod(v, &end);
-    if (end != v && *end == '\0' && e >= 1.0 && std::isfinite(e)) {
-      c.am_rtt_envelope = e;
-    } else {
-      std::fprintf(stderr,
-                   "gex: ignoring UPCXX_AM_RTT_ENVELOPE=%s (must be a "
-                   "finite factor >= 1)\n",
-                   v);
-    }
-  }
   c.socket_max_record =
       static_cast<std::size_t>(env_positive(
           "UPCXX_SOCKET_MAX_RECORD_KB",

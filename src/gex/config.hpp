@@ -26,20 +26,16 @@ enum class RmaWire {
   kAm,
 };
 
-// AM transport (UPCXX_AM_TRANSPORT=auto|mmap|shmfile|socket): what backs
-// the inbox rings the AmEngine pushes records through (gex/transport.hpp).
-// `mmap` is the pre-existing shared-arena ring (the fast path); `shmfile`
-// backs each (sender, receiver) pair with its own lazily created ring
-// file, mapped independently by each side — the proof that the wire
-// carries no cross-mapped pointers. `socket` frames each record onto a
-// non-blocking loopback TCP stream (gex/socket.hpp) — the first transport
-// that needs no shared memory at all, so rendezvous/staged payloads ship
-// inline and UPCXX_RMA_WIRE resolves to `am` under it. `auto` consults
-// the environment, then falls back to mmap.
+// AM transport (UPCXX_AM_TRANSPORT=auto|mmap|socket): what carries the
+// records the AmEngine sends (gex/transport.hpp). `mmap` is the
+// shared-arena ring (the fast path). `socket` frames each record onto a
+// non-blocking loopback TCP stream (gex/socket.hpp) and needs no shared
+// memory at all, so rendezvous/staged payloads ship inline and
+// UPCXX_RMA_WIRE resolves to `am` under it. `auto` consults the
+// environment, then falls back to mmap.
 enum class AmTransport {
   kAuto,
   kMmap,
-  kShmFile,
   kSocket,
 };
 
@@ -129,13 +125,6 @@ struct Config {
   int socket_fault_die_rank = -1;         // UPCXX_SOCKET_FAULT_DIE_RANK
   std::uint64_t socket_fault_die_at = 0;  // UPCXX_SOCKET_FAULT_DIE_AT
 
-  // Adaptive-window RTT envelope: an ack counts as "timely" while its RTT
-  // stays at or below envelope × the observed RTT floor (plus a small
-  // absolute slack absorbing scheduler noise — see rma_am.hpp). Larger
-  // values tolerate more queuing before the controller backs off. 0 =
-  // auto: consult UPCXX_AM_RTT_ENVELOPE, else kDefaultAmRttEnvelope.
-  double am_rtt_envelope = 0;             // UPCXX_AM_RTT_ENVELOPE
-
   // Loads defaults overridden by environment variables; the result is
   // normalized.
   static Config from_env();
@@ -177,10 +166,12 @@ inline constexpr std::uint32_t kDefaultAmWindow = 8;
 inline constexpr std::uint32_t kMaxAmWindow = 64;
 // Config::am_window sentinel: adaptive regardless of the environment.
 inline constexpr std::uint32_t kAmWindowForceAuto = 0xFFFFFFFFu;
-// Default RTT envelope factor (see Config::am_rtt_envelope).
-// Default 4.0: on a shared-memory "wire" the ack RTT is dominated by the
-// window's own queuing (depth × chunk service time), not propagation, so a
-// tight envelope reads healthy pipelining as lateness and oscillates. 4×
+// Adaptive-window RTT envelope: an ack counts as "timely" while its RTT
+// stays at or below envelope × the observed RTT floor (plus a small
+// absolute slack absorbing scheduler noise — see rma_am.hpp). 4.0: on a
+// shared-memory "wire" the ack RTT is dominated by the window's own
+// queuing (depth × chunk service time), not propagation, so a tight
+// envelope reads healthy pipelining as lateness and oscillates. 4×
 // the floor plus the absolute slack keeps the controller near the
 // footprint-clamped ceiling in steady state (measured: window_grow/shrink
 // counts drop ~10× vs 2.0 with no bandwidth cost) while a genuinely
@@ -194,14 +185,10 @@ inline constexpr double kDefaultAmRttEnvelope = 4.0;
 // default since the self-tuning transport landed).
 AmWindowSetting resolve_am_window(const Config& cfg);
 
-// Resolves the RTT envelope: an explicit (>= 1) value wins; otherwise
-// UPCXX_AM_RTT_ENVELOPE, else kDefaultAmRttEnvelope.
-double resolve_am_rtt_envelope(const Config& cfg);
-
 // Resolves a Config's am_transport. kAuto consults UPCXX_AM_TRANSPORT (so
 // hand-built Configs — the test helpers — honor a CI-level transport
-// override) and otherwise selects kMmap. An explicit kMmap / kShmFile /
-// kSocket wins over the environment.
+// override) and otherwise selects kMmap. An explicit kMmap / kSocket wins
+// over the environment.
 AmTransport resolve_am_transport(const Config& cfg);
 
 }  // namespace gex

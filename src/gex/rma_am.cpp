@@ -31,8 +31,8 @@ namespace {
 // `buf` fields are (segment id, offset) wire addresses (gex/segment.hpp)
 // encoded by the sender and resolved against the *receiver's own* mapping
 // at decode — no record byte depends on the peer's virtual-address layout,
-// which is what lets the shm-file transport (and a future socket backend)
-// carry these records between unrelated mappings. Every header carries
+// which is what lets the socket transport carry these records between
+// unrelated mappings. Every header carries
 // `nacks` and `nracks`: the counts of piggybacked request-ack cookies and
 // staged-reply consumption-ack cookies (u64 each) laid out immediately
 // after the header — acks first, then racks — ahead of any descriptors or
@@ -384,21 +384,19 @@ std::uint64_t RmaAmProtocol::wire_dec(WireAddr wa) const {
       am_->arena().segmap().decode(wa)));
 }
 
-RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w,
-                             double rtt_envelope)
+RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w)
     : am_(am),
       adaptive_(w.adaptive),
       window_(w.window ? w.window : 1),
       max_window_(w.adaptive ? adaptive_ceiling(am)
-                             : (w.window ? w.window : 1)),
-      envelope_(rtt_envelope) {
+                             : (w.window ? w.window : 1)) {
   // One peer per rank up front: peer() becomes an index. Every peer
   // starts its controller at the configured window; pinned mode never
   // consults it (window_now short-circuits on adaptive_).
   const int n = am_->arena().config().ranks;
   peers_.reserve(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t)
-    peers_.emplace_back(t, window_, max_window_, envelope_);
+    peers_.emplace_back(t, window_, max_window_);
 }
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,

@@ -231,8 +231,7 @@ class RmaAmProtocol {
   // Pre-creates one Peer per rank (Config::ranks), so peer() is an
   // index.
   explicit RmaAmProtocol(AmEngine* am,
-                         AmWindowSetting w = {false, kDefaultAmWindow},
-                         double rtt_envelope = kDefaultAmRttEnvelope);
+                         AmWindowSetting w = {false, kDefaultAmWindow});
 
   static std::uint32_t adaptive_ceiling(AmEngine* am);
 
@@ -404,8 +403,8 @@ class RmaAmProtocol {
   // staging pools (put bounce buffers as initiator, reply buffers as
   // target). `outstanding` is the credit counter, bounded by window_now.
   struct Peer {
-    Peer(int t, std::uint32_t start, std::uint32_t max, double envelope)
-        : target(t), ctrl(start, max, envelope) {}
+    Peer(int t, std::uint32_t start, std::uint32_t max)
+        : target(t), ctrl(start, max, kDefaultAmRttEnvelope) {}
     const int target;
     AmWindowController ctrl;
     std::uint32_t outstanding = 0;  // on the wire, not retired
@@ -492,7 +491,6 @@ class RmaAmProtocol {
   bool adaptive_;          // window policy: controller vs pinned
   std::uint32_t window_;   // pinned window / adaptive starting window
   std::uint32_t max_window_;  // hard ceiling (== window_ when pinned)
-  double envelope_;        // controller RTT envelope factor
   std::uint64_t next_cookie_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;  // initiator side
   // One entry per rank, created up front (indexed by rank id).

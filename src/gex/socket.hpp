@@ -13,10 +13,10 @@
 //
 // Event loop: one epoll instance per rank, pumped from try_consume — i.e.
 // from AmEngine::poll, so progress keeps the paper's no-hidden-threads
-// property: the rank that owns the persona pumps its own wire. A
-// spinlock guards transport state because injection-shard drains call
-// try_reserve/commit concurrently with the consumer; the lock is never
-// held across the record-visit callback.
+// property: the rank that owns the persona pumps its own wire. That
+// holder is the transport's only caller (gex/transport.hpp), so its state
+// is plain, unsynchronized data. Record-visit callbacks may re-enter
+// try_reserve/commit on the same thread.
 //
 // try_reserve returns a private malloc'd staging buffer (never a pointer
 // into shared state); commit frames it onto the peer's send queue and
@@ -47,13 +47,11 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "arch/spinlock.hpp"
 #include "gex/arena.hpp"
 #include "gex/transport.hpp"
 

@@ -1,45 +1,41 @@
 // Pluggable AM transport: where the inbox rings live.
 //
-// The AmEngine's wire is a per-target byte ring of records. How those
-// rings are *backed* is a deployment property, not a protocol one — and
-// with segment-offset wire addressing (gex/segment.hpp) no record byte
-// depends on the peer's virtual-address mapping, so the rings no longer
-// have to live in the one pre-fork cross-mapped arena. This interface cuts
-// the engine's ring push/pop behind a virtual seam (one call per *record*,
-// never per byte — the payload memcpy still goes straight into ring
-// memory) with two implementations:
+// The AmEngine's wire is a per-target stream of records. How that stream
+// is *backed* is a deployment property, not a protocol one: with
+// segment-offset wire addressing (gex/segment.hpp) no record byte depends
+// on the peer's virtual-address mapping. This interface cuts the engine's
+// record push/pop behind a virtual seam (one call per *record*, never per
+// byte: the payload memcpy still goes straight into ring memory) with two
+// implementations:
 //
 //   mmap     (default) — the per-rank MPSC rings inside the shared arena
-//            mapping, exactly the pre-existing fast path. Zero new cost:
-//            one virtual dispatch per reserve/commit/consume.
-//   shmfile  — one ring file per (sender, receiver) pair, created and
-//            opened lazily under /dev/shm (or /tmp) on first use, mapped
-//            independently by each side at whatever address mmap returns.
-//            Nothing about the mapping is shared up front, which is the
-//            proof that the protocol genuinely carries no cross-mapped
-//            pointers.
+//            mapping. One virtual dispatch per reserve/commit/consume.
 //   socket   — records framed onto non-blocking loopback TCP streams
 //            (gex/socket.hpp): reserve hands back a private staging
 //            buffer, commit frames and write()s it through per-peer send
 //            queues with partial-write continuation, and an epoll loop
-//            per rank assembles inbound frames. The first transport whose
-//            peers share no memory, so shared_memory() below is false and
-//            every payload the layers above ship must ride inline.
+//            per rank assembles inbound frames. Its peers share no
+//            memory, so shared_memory() below is false and every payload
+//            the layers above ship must ride inline.
 //
-// Selection: UPCXX_AM_TRANSPORT=mmap|shmfile|socket|auto
+// Selection: UPCXX_AM_TRANSPORT=mmap|socket|auto
 // (Config::am_transport; auto consults the environment so hand-built test
 // configs honor the CI matrix, then defaults to mmap).
 //
-// Ordering contract (all implementations): records from one sender to
+// Ownership: a rank's transport is driven only by the thread holding that
+// rank's master persona (the paper's "no hidden threads": whoever owns the
+// persona sends and polls). Injector threads hand their work to that
+// thread through the persona's queues; they never reach the transport.
+//
+// Ordering contract (both implementations): records from one sender to
 // one receiver are delivered FIFO. Cross-sender order is unspecified —
 // the same per-pair guarantee a GASNet conduit gives, and the only one
 // the layers above rely on (the barrier argument in rma_am.hpp is
-// per-pair). Deadlock freedom is unchanged: a sender spinning on a full
-// ring drains its own inbox via AmEngine::poll, whichever transport backs
-// it.
+// per-pair). Deadlock freedom: a sender spinning on a full ring drains
+// its own inbox via AmEngine::poll, whichever transport backs it.
 //
-// Bootstrap: on the ring transports the control block (world barrier,
-// error flag) and the data segments remain in the shared arena mapping.
+// Bootstrap: on the mmap transport the control block (world barrier,
+// error flag) and the data segments live in the shared arena mapping.
 // Isolated socket ranks have no shared mapping — their control plane
 // moves onto small records over a bootstrap socket (gex::SocketRuntime,
 // installed as the arena's ControlPlane hook).
@@ -84,8 +80,8 @@ class Transport {
   virtual std::size_t max_record_payload() const = 0;
 
   // Nothing queued for this rank (teardown/idle checks; may be
-  // conservative but never falsely empty). Non-const: a transport whose
-  // inbox storage appears lazily may have to open it to answer.
+  // conservative but never falsely empty). Non-const: the socket
+  // transport pumps its event loop to answer.
   virtual bool rx_empty() = 0;
 
   // True when the peer can dereference this rank's shared mappings (heap
@@ -95,14 +91,14 @@ class Transport {
   // must travel inline in the record.
   virtual bool shared_memory() const { return true; }
 
-  // Every committed record has been handed to the wire (ring transports:
-  // trivially true at commit; socket: the per-peer send queues drained
+  // Every committed record has been handed to the wire (mmap: trivially
+  // true at commit; socket: the per-peer send queues drained
   // into the kernel). run_rank drains this before the final barrier so
   // no acks are stranded in a user-space queue at teardown.
   virtual bool tx_quiesced() { return true; }
 
   // Sends that carried two or more queued frames in one syscall (socket
-  // transport writev coalescing). Ring transports have no syscalls to
+  // transport writev coalescing). The mmap transport has no syscalls to
   // coalesce, so the count stays zero.
   virtual std::uint64_t tx_writev_batches() const { return 0; }
 
@@ -112,9 +108,5 @@ class Transport {
 // Builds the transport resolved from arena->config() (see
 // resolve_am_transport) for rank `me`. Caller owns the result.
 Transport* make_transport(Arena* arena, int me);
-
-// Directory shm-file transports place their ring files in (/dev/shm when
-// writable, else TMPDIR, else /tmp). Exposed for the cleanup tests.
-const char* shm_transport_dir();
 
 }  // namespace gex

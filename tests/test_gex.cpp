@@ -356,8 +356,8 @@ TEST(AmEngine, BackpressureFloodDoesNotDeadlock) {
                        sizeof payload);
       // The ring holds ~120 of these records and the receiver held off for
       // 2 ms while we flooded, so backpressure must have been exercised.
-      // Only on ring transports, though: the socket transport queues sends
-      // kernel-side with a multi-MB cap this flood never reaches.
+      // Only on the mmap transport, though: the socket transport queues
+      // sends kernel-side with a multi-MB cap this flood never reaches.
       if (gex::am().transport().shared_memory())
         EXPECT_GT(gex::am().stats().send_stalls, 0u);
     } else {

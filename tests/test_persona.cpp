@@ -17,6 +17,17 @@ using testutil::spmd;
 
 namespace {
 
+// Re-acquires a liberated master persona on the calling thread for the rest
+// of the SPMD region, the way progress_thread::stop() does. A persona_scope
+// would have to outlive the SPMD body (teardown needs the master held); this
+// puts the master back on the stack exactly as init_persona did, so
+// teardown's drop_master pops it.
+void reacquire_master(upcxx::persona& master,
+                      upcxx::detail::PersonaState* rank) {
+  upcxx::detail::adopt_master(master, rank);
+  upcxx::detail::bind_rank_context(rank);
+}
+
 // ---------------------------------------------------------------- identity
 
 TEST(Persona, MasterIsCurrentAtInit) {
@@ -161,6 +172,7 @@ TEST(Persona, MasterMigratesToWorkerThread) {
   spmd(2, [] {
     if (upcxx::rank_me() == 0) {
       upcxx::persona& master = upcxx::master_persona();
+      auto* rank = upcxx::detail::rank_context();
       upcxx::liberate_master_persona();
       EXPECT_FALSE(master.active_with_caller());
       std::thread worker([&master] {
@@ -172,11 +184,7 @@ TEST(Persona, MasterMigratesToWorkerThread) {
         EXPECT_EQ(f.wait(), 1);
       });
       worker.join();
-      // Re-acquire for the rest of the SPMD region. The scope must outlive
-      // the SPMD body (teardown needs the master held), so it is leaked
-      // deliberately — the real UPC++ idiom is a persona_scope in main()
-      // outliving finalize().
-      new upcxx::persona_scope(master);
+      reacquire_master(master, rank);
       upcxx::barrier();
     } else {
       upcxx::rpc_ff(0, [] { rpcs_run.fetch_add(1); });
@@ -191,6 +199,7 @@ TEST(Persona, MigratedMasterCanRunCollectives) {
   // in the rank state, not a thread_local).
   spmd(4, [] {
     upcxx::persona& master = upcxx::master_persona();
+    auto* rank = upcxx::detail::rank_context();
     upcxx::liberate_master_persona();
     std::thread worker([&master] {
       upcxx::persona_scope sc(master);
@@ -203,7 +212,7 @@ TEST(Persona, MigratedMasterCanRunCollectives) {
       upcxx::barrier();
     });
     worker.join();
-    new upcxx::persona_scope(master);  // reacquired through teardown
+    reacquire_master(master, rank);
     upcxx::barrier();
   });
 }

@@ -240,9 +240,11 @@ TEST(RmaStress, RandomizedSoakDirectWire) {
 // The adaptive-window soak: same traffic, `UPCXX_AM_WINDOW=auto` semantics
 // forced (kAmWindowForceAuto beats any CI window pin), and chunks sized so
 // GET replies exceed eager_max and exercise the staged-reply pool under
-// racing multi-rank traffic — on both AM transports. The conservation
-// asserts inside soak_body (ack and rack channels, window ceiling) are the
-// point: the moving window must never break the flow-control invariants.
+// racing multi-rank traffic — on both AM transports (socket has no shared
+// memory, so its replies ride inline and the rack counts stay 0). The
+// conservation asserts inside soak_body (ack and rack channels, window
+// ceiling) are the point: the moving window must never break the
+// flow-control invariants, at shared-memory or at socket RTTs.
 gex::Config adaptive_cfg(gex::AmTransport t) {
   gex::Config cfg = testutil::test_cfg(3);
   cfg.rma_wire = gex::RmaWire::kAm;
@@ -260,8 +262,8 @@ TEST(RmaStress, AdaptiveWindowSoakMmap) {
   EXPECT_EQ(fails, 0);
 }
 
-TEST(RmaStress, AdaptiveWindowSoakShmFile) {
-  const int fails = upcxx::run(adaptive_cfg(gex::AmTransport::kShmFile),
+TEST(RmaStress, AdaptiveWindowSoakSocket) {
+  const int fails = upcxx::run(adaptive_cfg(gex::AmTransport::kSocket),
                                [] { soak_body(0xF11E, true, true); });
   EXPECT_EQ(fails, 0);
 }
