@@ -97,21 +97,10 @@ AmTransport parse_am_transport(const char* v) {
 
 }  // namespace
 
-AmWindowSetting resolve_am_window(const Config& cfg) {
-  if (cfg.am_window == kAmWindowForceAuto)
-    return {true, kDefaultAmWindow};
-  if (cfg.am_window != 0) return {false, cfg.am_window};
-  if (const char* v = std::getenv("UPCXX_AM_WINDOW"); v && *v) {
-    // `auto` is the spelled-out default; a positive integer pins the
-    // window (the CI am-window-1 job). Garbage already warned in
-    // from_env; degrade to adaptive, the default.
-    if (std::strcmp(v, "auto") != 0) {
-      long n = 0;
-      if (parse_long("UPCXX_AM_WINDOW", v, n) && n > 0)
-        return {false, static_cast<std::uint32_t>(n)};
-    }
-  }
-  return {true, kDefaultAmWindow};
+std::uint32_t resolve_am_window(const Config& cfg) {
+  if (cfg.am_window != 0) return cfg.am_window;
+  return static_cast<std::uint32_t>(
+      env_positive("UPCXX_AM_WINDOW", kDefaultAmWindow));
 }
 
 RmaWire resolve_rma_wire(const Config& cfg) {
@@ -165,8 +154,8 @@ void Config::normalize() {
   // dominate the copies.
   if (!(sim_bw_gbps > 0) || !std::isfinite(sim_bw_gbps)) sim_bw_gbps = 0;
   if (xfer_chunk_bytes < 256) xfer_chunk_bytes = 256;
-  // am_window 0 means auto (resolve_am_window consults the environment),
-  // so normalize leaves it alone.
+  // am_window 0 means "consult the environment" (resolve_am_window), so
+  // normalize leaves it alone.
   if (am_xfer_chunk_bytes < 256) am_xfer_chunk_bytes = 256;
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
@@ -200,9 +189,6 @@ Config Config::from_env() {
                  << 20;
   c.sim_latency_ns = static_cast<std::uint64_t>(
       env_nonnegative("UPCXX_SIM_LATENCY_NS", 0));
-  if (const char* a = std::getenv("UPCXX_ATOMICS")) {
-    c.atomics_use_am = (std::strcmp(a, "am") == 0);
-  }
   if (const char* v = std::getenv("UPCXX_SIM_BW_GBPS"); v && *v) {
     char* end = nullptr;
     const double bw = std::strtod(v, &end);
@@ -228,21 +214,9 @@ Config Config::from_env() {
   if (const char* v = std::getenv("UPCXX_AM_TRANSPORT"); v && *v) {
     c.am_transport = parse_am_transport(v);
   }
-  // 0 (auto → adaptive) stays 0 unless the environment names a window;
-  // `auto` is the spelled-out default. Resolution to the adaptive
-  // controller or a pinned window happens in resolve_am_window at launch.
-  if (const char* v = std::getenv("UPCXX_AM_WINDOW");
-      v && *v && std::strcmp(v, "auto") != 0) {
-    if (long n = env_long("UPCXX_AM_WINDOW", 0); n != 0) {
-      if (n > 0) {
-        c.am_window = static_cast<std::uint32_t>(n);
-      } else {
-        std::fprintf(stderr,
-                     "gex: ignoring UPCXX_AM_WINDOW=%ld (must be positive)\n",
-                     n);
-      }
-    }
-  }
+  // 0 unless the environment names a positive window; resolve_am_window
+  // turns 0 into kDefaultAmWindow at launch.
+  c.am_window = static_cast<std::uint32_t>(env_positive("UPCXX_AM_WINDOW", 0));
   c.am_xfer_chunk_bytes =
       static_cast<std::size_t>(env_positive(
           "UPCXX_AM_CHUNK_KB",

@@ -39,6 +39,23 @@ enum class AmTransport {
   kSocket,
 };
 
+// Default Config::socket_arena_base. 0x2000'0000'0000 sits between the
+// heap and the mmap base on every Linux layout we target, but
+// ThreadSanitizer refuses it ("mmap at bad address"), so TSan builds use
+// 0x40'0000'0000 instead. AddressSanitizer refuses that one, so only TSan
+// builds move.
+#if defined(__SANITIZE_THREAD__)
+inline constexpr std::uint64_t kDefaultSocketArenaBase = 0x004000000000ull;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+inline constexpr std::uint64_t kDefaultSocketArenaBase = 0x004000000000ull;
+#else
+inline constexpr std::uint64_t kDefaultSocketArenaBase = 0x200000000000ull;
+#endif
+#else
+inline constexpr std::uint64_t kDefaultSocketArenaBase = 0x200000000000ull;
+#endif
+
 struct Config {
   int ranks = 4;                          // UPCXX_RANKS
   Backend backend = Backend::kThread;     // UPCXX_BACKEND=thread|process
@@ -47,7 +64,9 @@ struct Config {
   std::size_t eager_max = 8 << 10;        // UPCXX_EAGER_MAX (bytes)
   std::size_t heap_bytes = 64 << 20;      // UPCXX_HEAP_MB (shared heap)
   std::uint64_t sim_latency_ns = 0;       // UPCXX_SIM_LATENCY_NS
-  bool atomics_use_am = false;            // UPCXX_ATOMICS=am|direct
+  // Atomics through AMs instead of direct CPU atomics; forced on for
+  // isolated ranks (Arena::create_private), per-domain otherwise.
+  bool atomics_use_am = false;
 
   // Message-layer v2 aggregation knobs (gex/agg.hpp).
   bool agg_enabled = true;                // UPCXX_AGG (0 disables)
@@ -71,15 +90,10 @@ struct Config {
   // Small windows serialize (W=1 is the worst-case CI job); large windows
   // let a flood fill the target's ring and staging heap — and blow the
   // in-flight staging (window × chunk) out of cache, which is what caps
-  // am-wire bandwidth (see am_xfer_chunk_bytes). 0 = auto: consult
+  // am-wire bandwidth (see am_xfer_chunk_bytes). 0 = consult
   // UPCXX_AM_WINDOW (so hand-built test Configs honor the CI matrix, like
-  // rma_wire's kAuto); `auto` or an unset environment selects the
-  // *adaptive* window (an ack-RTT-driven BBR-style controller per target —
-  // see resolve_am_window below), an explicit positive integer pins a
-  // fixed window for tests/CI. kAmWindowForceAuto forces the adaptive
-  // controller even when the environment pins a window (benchmark series
-  // that must measure `auto` under any CI matrix). An explicit value wins
-  // over the environment.
+  // rma_wire's kAuto), defaulting to kDefaultAmWindow; an explicit value
+  // wins over the environment. See resolve_am_window below.
   std::uint32_t am_window = 0;            // UPCXX_AM_WINDOW
   // Chunk granularity on the am wire: the engine uses
   // min(xfer_chunk_bytes, am_xfer_chunk_bytes) there, so explicit small
@@ -96,9 +110,8 @@ struct Config {
   std::size_t socket_max_record = 8 << 20;  // UPCXX_SOCKET_MAX_RECORD_KB
   // Fixed virtual address isolated-mode ranks map their *private* arenas
   // at (MAP_FIXED_NOREPLACE), so global_ptr raw addresses and segment-map
-  // ids agree across processes that share nothing. 0x2000'0000'0000 sits
-  // between the heap and the mmap base on every Linux layout we target.
-  std::uint64_t socket_arena_base = 0x200000000000ull;
+  // ids agree across processes that share nothing.
+  std::uint64_t socket_arena_base = kDefaultSocketArenaBase;
   //                                         UPCXX_SOCKET_ARENA_BASE
   // With backend=process and the socket transport: fork ranks that each
   // create their own private arena and bootstrap over a control socket
@@ -147,43 +160,19 @@ struct Config {
 // ranks still share one arena — thread or plain process backends).
 RmaWire resolve_rma_wire(const Config& cfg);
 
-// The resolved AM-window policy: either a fixed per-target window (an
-// explicit integer in the Config or the environment — tests and CI pin
-// the flow-control state machine with these) or the adaptive controller
-// (the default), which starts every target at `window` and moves it
-// within [1, kMaxAmWindow] from ack-RTT feedback (gex::AmWindowController,
-// rma_am.hpp).
-struct AmWindowSetting {
-  bool adaptive;
-  std::uint32_t window;  // fixed window, or the adaptive starting window
-};
-
-// Adaptive starting window (also the fixed default if the environment
-// names no number).
+// Default per-target AM-wire credit window. On perfbench rma_am and
+// rma_socket, 8 holds every metric an RTT-driven adaptive window reached,
+// while 16 costs ~40% socket p99 (DESIGN.md, "One fixed window").
 inline constexpr std::uint32_t kDefaultAmWindow = 8;
-// Adaptive ceiling: window × UPCXX_AM_CHUNK_KB is the staging working
-// set, so 64 × 64K = 4M bounds it at roughly an L3's worth.
-inline constexpr std::uint32_t kMaxAmWindow = 64;
-// Config::am_window sentinel: adaptive regardless of the environment.
-inline constexpr std::uint32_t kAmWindowForceAuto = 0xFFFFFFFFu;
-// Adaptive-window RTT envelope: an ack counts as "timely" while its RTT
-// stays at or below envelope × the observed RTT floor (plus a small
-// absolute slack absorbing scheduler noise — see rma_am.hpp). 4.0: on a
-// shared-memory "wire" the ack RTT is dominated by the window's own
-// queuing (depth × chunk service time), not propagation, so a tight
-// envelope reads healthy pipelining as lateness and oscillates. 4×
-// the floor plus the absolute slack keeps the controller near the
-// footprint-clamped ceiling in steady state (measured: window_grow/shrink
-// counts drop ~10× vs 2.0 with no bandwidth cost) while a genuinely
-// descheduled peer — milliseconds, far past any envelope — still backs off.
-inline constexpr double kDefaultAmRttEnvelope = 4.0;
+// perfbench names this to mean "the default window, whatever the
+// environment pins".
+inline constexpr std::uint32_t kAmWindowForceAuto = kDefaultAmWindow;
 
-// Resolves a Config's am_window: kAmWindowForceAuto selects the adaptive
-// controller unconditionally; any other explicit (non-zero) value pins a
-// fixed window; 0 (auto) consults UPCXX_AM_WINDOW — a positive integer
-// pins, `auto`/unset/garbage selects the adaptive controller (the
-// default since the self-tuning transport landed).
-AmWindowSetting resolve_am_window(const Config& cfg);
+// Resolves a Config's am_window: an explicit (non-zero) value wins; 0
+// consults UPCXX_AM_WINDOW, where a positive integer is the window and
+// anything else warns and resolves to kDefaultAmWindow, as does an unset
+// variable.
+std::uint32_t resolve_am_window(const Config& cfg);
 
 // Resolves a Config's am_transport. kAuto consults UPCXX_AM_TRANSPORT (so
 // hand-built Configs — the test helpers — honor a CI-level transport

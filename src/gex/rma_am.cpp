@@ -5,7 +5,7 @@
 #include <cstring>
 #include <thread>
 
-#include "arch/timer.hpp"
+#include "arch/spinlock.hpp"
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
 
@@ -384,31 +384,24 @@ std::uint64_t RmaAmProtocol::wire_dec(WireAddr wa) const {
       am_->arena().segmap().decode(wa)));
 }
 
-RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w)
-    : am_(am),
-      adaptive_(w.adaptive),
-      window_(w.window ? w.window : 1),
-      max_window_(w.adaptive ? adaptive_ceiling(am)
-                             : (w.window ? w.window : 1)) {
-  // One peer per rank up front: peer() becomes an index. Every peer
-  // starts its controller at the configured window; pinned mode never
-  // consults it (window_now short-circuits on adaptive_).
+RmaAmProtocol::RmaAmProtocol(AmEngine* am, std::uint32_t window)
+    : am_(am), window_(window ? window : 1) {
+  // One peer per rank up front: peer() becomes an index.
   const int n = am_->arena().config().ranks;
   peers_.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t)
-    peers_.emplace_back(t, window_, max_window_);
+  for (int t = 0; t < n; ++t) peers_.emplace_back(t);
 }
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
                                          std::vector<LocalFrag> scatter) {
   const std::uint64_t cookie = next_cookie_++;
   pending_.emplace(cookie,
-                   Pending{target, std::move(done), std::move(scatter)});
+                   Pending{target, std::move(done), std::move(scatter), {}});
   return cookie;
 }
 
 bool RmaAmProtocol::claim_outstanding(Peer& p) {
-  if (p.outstanding >= window_now(p)) return false;
+  if (p.outstanding >= window_) return false;
   ++p.outstanding;
   if (p.outstanding > stats_.max_outstanding)
     stats_.max_outstanding = p.outstanding;
@@ -454,41 +447,21 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
 
 void RmaAmProtocol::recycle_stage(Peer& p, StageBuf buf) {
   if (!buf.p) return;
-  if (p.stage_pool.size() < window_now(p)) {
+  if (p.stage_pool.size() < window_) {
     p.stage_pool.push_back(buf);
     return;
   }
   am_->arena().heap().deallocate(buf.p);
 }
 
-std::uint32_t RmaAmProtocol::adaptive_ceiling(AmEngine* am) {
-  // Ceiling × chunk = the in-flight staging working set; 1MB keeps it
-  // cache-resident at the default 64K am-wire chunk (ceiling 16) while
-  // small-chunk configs (tests, soaks) still get the full range.
-  constexpr std::size_t kStagingBudgetBytes = 1 << 20;
-  const auto& cfg = am->arena().config();
-  std::size_t chunk = cfg.xfer_chunk_bytes < cfg.am_xfer_chunk_bytes
-                          ? cfg.xfer_chunk_bytes
-                          : cfg.am_xfer_chunk_bytes;
-  if (chunk == 0) chunk = 1;
-  auto cap = static_cast<std::uint32_t>(kStagingBudgetBytes / chunk);
-  if (cap < kDefaultAmWindow) cap = kDefaultAmWindow;
-  if (cap > kMaxAmWindow) cap = kMaxAmWindow;
-  return cap;
-}
-
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_reply_stage(
     Peer& p, std::size_t bytes) {
-  // Staged replies are bounded by the window *ceiling*, not the adaptive
-  // operating point: a pure responder's controller never sees acks (it
-  // sends no credit-consuming requests), so its operating point would sit
-  // at the start window forever and clamp an initiator whose window has
-  // grown — the initiator's own window already bounds how many replies
-  // can be awaited, this bound only has to keep a failing peer from
-  // pinning unbounded heap. Past it the caller falls back to the
-  // rendezvous REPLY path — never block here, a reply send runs inside
-  // the target's poll loop.
-  if (p.reply_out.size() >= window()) return StageBuf{};
+  // At most `window` staged replies awaiting consumption per peer: the
+  // initiator's own window already bounds how many replies can be awaited,
+  // this bound only keeps a failing peer from pinning unbounded heap. Past
+  // it the caller falls back to the rendezvous REPLY path — never block
+  // here, a reply send runs inside the target's poll loop.
+  if (p.reply_out.size() >= window_) return StageBuf{};
   std::size_t best = p.reply_pool.size();
   for (std::size_t i = 0; i < p.reply_pool.size(); ++i) {
     if (p.reply_pool[i].cap < bytes) continue;
@@ -519,10 +492,8 @@ void RmaAmProtocol::recycle_reply(Peer& p, std::uint64_t cookie) {
   if (it == p.reply_out.end()) return;  // freed by fail_all_peers already
   StageBuf b = it->second;
   p.reply_out.erase(it);
-  // Pool retention matches the stage bound (the window ceiling); a pinned
-  // window may have shrunk the bound since this buffer went out, and the
-  // excess drains back to the heap.
-  if (p.reply_pool.size() < window()) {
+  // Pool retention matches the stage bound.
+  if (p.reply_pool.size() < window_) {
     p.reply_pool.push_back(b);
     return;
   }
@@ -546,10 +517,8 @@ void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
   // a slot frees. Our own inbox keeps draining (acks retire credits, which
   // sends queued requests), so mutual floods advance in lockstep instead
   // of deadlocking. A set error flag means the acks may never come — park
-  // the request regardless; teardown's fail_all_peers() reclaims it. The
-  // cap uses the window *ceiling*, not the moving operating point — a
-  // shrink must not strand already-parked requests behind a tighter bound.
-  const std::size_t cap = window() + kQueueSlack;
+  // the request regardless; teardown's fail_all_peers() reclaims it.
+  const std::size_t cap = window_ + kQueueSlack;
   while (p.sendq.size() >= cap &&
          am_->arena().control().error_flag.value.load(
              std::memory_order_acquire) == 0) {
@@ -571,14 +540,6 @@ void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
   ++stats_.cancelled;
   assert(p.outstanding > 0);
   --p.outstanding;
-}
-
-// Stamps the wire-send time on a just-sent request so the completion loop
-// can feed the request→ack round trip to the peer's window controller.
-void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
-  if (!adaptive_) return;
-  auto it = pending_.find(cookie);
-  if (it != pending_.end()) it->second.send_ns = arch::now_ns();
 }
 
 void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
@@ -603,7 +564,6 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
     ++stats_.puts_sent;
     stats_.acks_piggybacked += oa.acks.size();
     stats_.reply_acks_piggybacked += oa.racks.size();
-    note_wire_send(cookie);
     return;
   }
   // Large put: payload through a pooled bounce buffer, descriptor inline.
@@ -634,7 +594,6 @@ void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
   ++stats_.puts_staged;
   stats_.acks_piggybacked += oa.acks.size();
   stats_.reply_acks_piggybacked += oa.racks.size();
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::send_get(int target, std::uint64_t cookie,
@@ -652,7 +611,6 @@ void RmaAmProtocol::send_get(int target, std::uint64_t cookie,
   ++stats_.gets_sent;
   stats_.acks_piggybacked += oa.acks.size();
   stats_.reply_acks_piggybacked += oa.racks.size();
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
@@ -685,7 +643,6 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
     ++stats_.frag_puts_sent;
     stats_.acks_piggybacked += oa.acks.size();
     stats_.reply_acks_piggybacked += oa.racks.size();
-    note_wire_send(cookie);
     return;
   }
   // Large scatter-put: descriptors and gathered payload go through a
@@ -726,7 +683,6 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
   ++stats_.puts_staged;
   stats_.acks_piggybacked += oa.acks.size();
   stats_.reply_acks_piggybacked += oa.racks.size();
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
@@ -750,7 +706,6 @@ void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
   ++stats_.frag_gets_sent;
   stats_.acks_piggybacked += oa.acks.size();
   stats_.reply_acks_piggybacked += oa.racks.size();
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::put(int target, void* dst, const void* src,
@@ -857,9 +812,6 @@ int RmaAmProtocol::poll_requests() {
   if (!completed_.empty()) {
     auto comp = std::move(completed_);
     completed_.clear();
-    // One clock read for the whole batch: every cookie in comp was sent
-    // before this poll began, so now >= send_ns for each.
-    const std::uint64_t now = adaptive_ ? arch::now_ns() : 0;
     for (const std::uint64_t cookie : comp) {
       auto node = pending_.extract(cookie);
       if (node.empty()) {
@@ -872,13 +824,6 @@ int RmaAmProtocol::poll_requests() {
       --p.outstanding;
       // The target is done with the bounce buffer once its ack arrived.
       recycle_stage(p, node.mapped().stage);
-      // Feed the request→ack round trip to this peer's controller; its
-      // window moves and every derived bound follows on the next check.
-      if (adaptive_ && node.mapped().send_ns) {
-        const int d = p.ctrl.on_ack(now - node.mapped().send_ns);
-        if (d > 0) ++stats_.window_grow;
-        if (d < 0) ++stats_.window_shrink;
-      }
       // Extracted from the map before firing: the callback may issue new
       // protocol ops.
       Done done = std::move(node.mapped().done);
@@ -1054,18 +999,16 @@ XferEngine::WireOps RmaAmProtocol::wire_ops() {
   // full, instead of piling payload copies into the sender-side queue.
   ops.ready = [this](int target) { return can_accept(target); };
   // Budget metering: how many chunks this target can take right now —
-  // the *adaptive* window (window_now follows the controller as it
-  // moves) minus in-flight requests, zero while anything is parked in
+  // the window minus in-flight requests, zero while anything is parked in
   // the sender-side queue. The engine's poll deals its chunk budget
-  // against this, so a shrunken window diverts budget to other targets
+  // against this, so a full window diverts budget to other targets
   // within the same poll instead of consuming it on a closed channel.
   ops.credits = [this](int target) -> std::uint32_t {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
-      return window_now(target);
+      return window_;
     const Peer& p = peers_[static_cast<std::size_t>(target)];
     if (!p.sendq.empty()) return 0;
-    const std::uint32_t w = window_now(p);
-    return p.outstanding < w ? w - p.outstanding : 0;
+    return p.outstanding < window_ ? window_ - p.outstanding : 0;
   };
   return ops;
 }

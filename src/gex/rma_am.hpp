@@ -69,18 +69,10 @@
 // heap) the reply falls back to the old inline/rendezvous REPLY path —
 // staging is an optimization, never a requirement.
 //
-// Adaptive window (UPCXX_AM_WINDOW=auto, the default): instead of a
-// hand-set window, each peer runs a small BBR-style controller
-// (AmWindowController below) fed by request→ack round-trip times. While
-// acks return within an envelope of the observed RTT floor the window
-// grows (one credit per windowful of timely acks); when acks lag —
-// queuing at the target, or window × chunk outgrowing the cache — it
-// backs off multiplicatively (at most once per windowful). The window
-// therefore converges on the host's own knee without any tuning, within
-// [1, kMaxAmWindow]. An explicit UPCXX_AM_WINDOW=<n> pins it (tests, the
-// am-window-1 CI job). Every window-derived bound (pools, queue slack,
-// engine back-pressure) reads the *current* window, so the whole state
-// machine tracks the moving operating point.
+// One fixed window for every peer: UPCXX_AM_WINDOW=<n> when set to a
+// positive integer, kDefaultAmWindow (8) otherwise. The same value gates
+// credits, bounds both staging pools and sets the queue cap (DESIGN.md,
+// "One fixed window", has the measurements behind 8).
 //
 // Execution model (the part that differs from the direct wire): data lands
 // when the *target* runs the request handler inside its AmEngine::poll —
@@ -119,85 +111,6 @@
 
 namespace gex {
 
-// Per-target adaptive window controller (BBR-style). Fed one request→ack
-// round-trip time per retired credit; maintains an RTT floor (true min
-// with a slow upward drift so a stale floor from a quiet period cannot
-// permanently misjudge a new traffic regime) and classifies each ack as
-// timely iff rtt <= floor × envelope + kAmRttSlackNs. A windowful of
-// consecutive timely acks grows the window by one (additive probe — the
-// growth rate is one per RTT, like BBR's probe phase); a late ack shrinks
-// it multiplicatively (×1/2), at most once per windowful so one
-// scheduler blip doesn't collapse the pipeline. Window stays in
-// [1, max]. Pure state machine — no clock of its own — so tests drive it
-// with synthetic delays.
-class AmWindowController {
- public:
-  // Absolute slack added to the envelope: sub-microsecond shared-memory
-  // RTT floors make a purely multiplicative envelope brittle (any
-  // scheduler blip is 100× the floor), so lateness additionally requires
-  // this much absolute queuing delay. The value sets the equilibrium
-  // depth: an ack's RTT includes the service time of the window's other
-  // in-flight chunks, so the controller settles near
-  // (envelope×floor + slack) / chunk_service_time — 100 µs over ~10 µs
-  // staged-chunk copies lands in the 8–16 range the window-sweep knee
-  // (bench/abl_am_protocol) identifies, while still reacting to real
-  // multi-window backlog rather than scheduler jitter.
-  static constexpr std::uint64_t kAmRttSlackNs = 100'000;
-
-  AmWindowController(std::uint32_t start, std::uint32_t max,
-                     double envelope)
-      : envelope_(envelope >= 1.0 ? envelope : 1.0),
-        win_(start ? start : 1),
-        max_(max ? max : 1) {
-    if (win_ > max_) win_ = max_;
-  }
-
-  // Feeds one ack RTT; returns +1 (window grew), -1 (shrank), 0 (held).
-  int on_ack(std::uint64_t rtt_ns) {
-    if (rtt_floor_ == 0 || rtt_ns < rtt_floor_) {
-      rtt_floor_ = rtt_ns;
-    } else {
-      // Slow drift toward the observed RTT so the floor adapts when the
-      // regime genuinely changes (~256 acks to cross a sustained gap).
-      rtt_floor_ += (rtt_ns - rtt_floor_) >> 8;
-    }
-    ++since_shrink_;
-    const std::uint32_t w = win_;
-    const double bound =
-        static_cast<double>(rtt_floor_) * envelope_ +
-        static_cast<double>(kAmRttSlackNs);
-    if (static_cast<double>(rtt_ns) > bound) {
-      timely_ = 0;
-      // One backoff per windowful: the acks already in flight when the
-      // window shrank will mostly look late too — don't charge them.
-      if (since_shrink_ >= w && w > 1) {
-        win_ = w / 2 > 0 ? w / 2 : 1;
-        since_shrink_ = 0;
-        return -1;
-      }
-      return 0;
-    }
-    if (++timely_ >= w && w < max_) {
-      timely_ = 0;
-      win_ = w + 1;
-      return +1;
-    }
-    return 0;
-  }
-
-  std::uint32_t window() const { return win_; }
-  std::uint32_t max_window() const { return max_; }
-  std::uint64_t rtt_floor_ns() const { return rtt_floor_; }
-
- private:
-  double envelope_;
-  std::uint32_t win_;
-  std::uint32_t max_;
-  std::uint64_t rtt_floor_ = 0;
-  std::uint32_t timely_ = 0;        // consecutive timely acks since a grow
-  std::uint32_t since_shrink_ = 0;  // acks since the last backoff
-};
-
 class RmaAmProtocol {
  public:
   using Done = arch::UniqueFunction<void()>;
@@ -221,19 +134,11 @@ class RmaAmProtocol {
     std::size_t bytes;
   };
 
-  // `w` is a resolved policy (gex::resolve_am_window at launch): a pinned
-  // window, or the adaptive controller started at w.window per target.
-  // The adaptive ceiling is footprint-clamped: ceiling × am-wire chunk is
-  // the in-flight staging working set (same cache argument as the
-  // UPCXX_AM_CHUNK_KB clamp), so letting RTT drift walk the window to
-  // kMaxAmWindow at 64K chunks would trade a 4MB working set for depth
-  // that is pure cache thrash. Budget 1MB, never below the start window.
-  // Pre-creates one Peer per rank (Config::ranks), so peer() is an
-  // index.
+  // `window` is the per-peer credit window (gex::resolve_am_window at
+  // launch; 0 is treated as 1). Pre-creates one Peer per rank
+  // (Config::ranks), so peer() is an index.
   explicit RmaAmProtocol(AmEngine* am,
-                         AmWindowSetting w = {false, kDefaultAmWindow});
-
-  static std::uint32_t adaptive_ceiling(AmEngine* am);
+                         std::uint32_t window = kDefaultAmWindow);
 
   // Contiguous put: the payload leaves src before this call returns (the
   // initiator may reuse src immediately) — copied into the wire when a
@@ -295,30 +200,20 @@ class RmaAmProtocol {
     for (const auto& p : peers_) n += p.sendq.size();
     return n;
   }
-  // The pinned window, or — adaptive mode — the controller ceiling
-  // (kMaxAmWindow): in both cases the hard bound every per-target window
-  // and pool respects, which is what invariant checks compare against.
-  std::uint32_t window() const { return adaptive_ ? max_window_ : window_; }
-  bool adaptive_window() const { return adaptive_; }
-  // The current operating window for `target` (moves in adaptive mode).
-  std::uint32_t window_now(int target) const {
-    if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
-      return window_;
-    return window_now(peers_[target]);
-  }
+  // The per-peer credit window: the bound on in-flight requests and on
+  // both staging pools, which is what invariant checks compare against.
+  std::uint32_t window() const { return window_; }
 
   // True when a request to `target` would go straight onto the wire (a
   // credit is free and nothing is queued ahead of it). The XferEngine's
   // chunk movers consult this (WireOps::ready) so chunks wait in the
   // engine — where they cost nothing — instead of piling up payload copies
-  // in the sender-side queue. Reads the *current* window, so engine
-  // back-pressure follows an adaptive window as it moves: a shrink simply
-  // reports not-ready until in-flight requests drain below the new bound.
+  // in the sender-side queue.
   bool can_accept(int target) const {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
       return true;
     const Peer& p = peers_[target];
-    return p.sendq.empty() && p.outstanding < window_now(p);
+    return p.sendq.empty() && p.outstanding < window_;
   }
 
   // Teardown giving-up path: a peer (or the whole job) failed, its acks and
@@ -359,7 +254,8 @@ class RmaAmProtocol {
     std::uint64_t staged_replies_handled = 0;  // initiator: consumed
     std::uint64_t reply_ack_cookies_sent = 0;  // racks in standalone records
     std::uint64_t reply_acks_piggybacked = 0;  // racks on reverse traffic
-    // Adaptive window controller, summed across peers.
+    // Always 0 since the window is fixed; kept because perfbench reads
+    // them (gex.rma_am.window_moves_per_kack).
     std::uint64_t window_grow = 0;
     std::uint64_t window_shrink = 0;
   };
@@ -379,7 +275,6 @@ class RmaAmProtocol {
     Done done;
     std::vector<LocalFrag> scatter;  // gets: local landing runs, wire order
     StageBuf stage;  // staged puts: recycled into the pool on ack
-    std::uint64_t send_ns = 0;  // wire-send time (adaptive RTT sampling)
   };
   // A window-blocked request. Puts own their payload (the caller's source
   // buffer is reusable the moment the injecting call returns); gets keep
@@ -397,16 +292,14 @@ class RmaAmProtocol {
     std::vector<Frag> gather;  // local (this rank's) source runs
     bool frag;                 // GET_FRAG origin (staged record selection)
   };
-  // Per-target sender and receiver state: the credit window (with its
-  // adaptive controller), the queue of window-blocked requests, the acks
-  // and reply-consumption acks this rank owes that target, and both
-  // staging pools (put bounce buffers as initiator, reply buffers as
-  // target). `outstanding` is the credit counter, bounded by window_now.
+  // Per-target sender and receiver state: the credit counter, the queue
+  // of window-blocked requests, the acks and reply-consumption acks this
+  // rank owes that target, and both staging pools (put bounce buffers as
+  // initiator, reply buffers as target). `outstanding` is bounded by
+  // window_.
   struct Peer {
-    Peer(int t, std::uint32_t start, std::uint32_t max)
-        : target(t), ctrl(start, max, kDefaultAmRttEnvelope) {}
+    explicit Peer(int t) : target(t) {}
     const int target;
-    AmWindowController ctrl;
     std::uint32_t outstanding = 0;  // on the wire, not retired
     std::deque<QueuedReq> sendq;
     std::vector<std::uint64_t> acks_owed;
@@ -431,13 +324,6 @@ class RmaAmProtocol {
            "peer rank outside the configured job size");
     return peers_[static_cast<std::size_t>(target)];
   }
-  // The operating window for one peer: pinned, or the controller's current
-  // value. Every bound in the protocol (credits, queue cap, both staging
-  // pools, engine back-pressure) derives from this so the state machine
-  // follows an adaptive window as it moves.
-  std::uint32_t window_now(const Peer& p) const {
-    return adaptive_ ? p.ctrl.window() : window_;
-  }
   // Null .p when the job is failing and the heap is exhausted (the blocks
   // may be pinned by a dead peer's unacked requests) — the caller cancels.
   StageBuf acquire_stage(Peer& p, std::size_t bytes);
@@ -449,7 +335,7 @@ class RmaAmProtocol {
   StageBuf acquire_reply_stage(Peer& p, std::size_t bytes);
   // Initiator's rack arrived: unpin the staged reply buffer `cookie` and
   // recycle it into the peer's reply pool (freed if the pool is at its
-  // bound — the window may have shrunk since the buffer went out).
+  // bound).
   void recycle_reply(Peer& p, std::uint64_t cookie);
   void cancel_sent(Peer& p, std::uint64_t cookie);
   std::uint64_t new_pending(int target, Done done,
@@ -462,10 +348,7 @@ class RmaAmProtocol {
     std::vector<std::uint64_t> racks;  // staged-reply cookies
   };
   OwedAcks take_acks(int target);
-  // Records the wire-send time of `cookie` for adaptive RTT sampling
-  // (no-op when the window is pinned).
-  void note_wire_send(std::uint64_t cookie);
-  // Claims one credit if p.outstanding is below the current window; true
+  // Claims one credit if p.outstanding is below the window; true
   // means the caller must send (or release it via cancel_sent).
   bool claim_outstanding(Peer& p);
   // claim_outstanding, but refused while anything is parked in the sendq:
@@ -488,9 +371,7 @@ class RmaAmProtocol {
                      const std::vector<Frag>& srcs);
 
   AmEngine* am_;
-  bool adaptive_;          // window policy: controller vs pinned
-  std::uint32_t window_;   // pinned window / adaptive starting window
-  std::uint32_t max_window_;  // hard ceiling (== window_ when pinned)
+  std::uint32_t window_;  // per-peer credit window
   std::uint64_t next_cookie_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;  // initiator side
   // One entry per rank, created up front (indexed by rank id).

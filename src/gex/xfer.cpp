@@ -120,7 +120,7 @@ int XferEngine::poll(int chunk_budget) {
   // the next one; unique_ptr entries keep the first n valid meanwhile.
   const std::size_t n = channels_.size();
   // Per-poll credit ledger on metered wires (WireOps::credits — the AM
-  // wire's adaptive window): how many more chunks each channel may issue
+  // wire's free credits): how many more chunks each channel may issue
   // this poll. Both passes deal against the same ledger, so budget a
   // throttled channel cannot use flows to the others rather than being
   // burned on a channel whose window is already full. Unmetered wires

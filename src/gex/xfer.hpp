@@ -97,8 +97,8 @@ class XferEngine {
         get_chunk;
     arch::UniqueFunction<bool(int target)> ready;  // null = always ready
     // Chunks the wire will accept toward `target` right now — the AM
-    // wire's *adaptive* credit window (window_now) minus its in-flight
-    // requests, rather than any static ceiling. Null = unmetered. poll()
+    // wire's credit window minus its in-flight requests to that target.
+    // Null = unmetered. poll()
     // deals its per-poll budget against this, so quota a throttled
     // channel cannot convert flows to other channels in the same poll
     // instead of dying with the throttled one.

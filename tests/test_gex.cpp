@@ -576,33 +576,23 @@ TEST(Config, NumericKnobsRejectGarbage) {
   EXPECT_EQ(ok.sim_latency_ns, 250u);
   unsetenv("UPCXX_AM_WINDOW");
   unsetenv("UPCXX_SIM_LATENCY_NS");
-  // resolve_am_window falls back to adaptive-at-default on a garbage
-  // environment, `auto` spells the default explicitly, an integer pins,
-  // and kAmWindowForceAuto overrides even a pinned environment.
-  setenv("UPCXX_AM_WINDOW", "zero", 1);
+  // resolve_am_window resolves a garbage environment and the retired
+  // `auto` spelling to the default window, honors an integer, and an
+  // explicit Config value (kAmWindowForceAuto is the default spelled
+  // out) beats even a pinned environment.
   gex::Config c;
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_TRUE(w.adaptive);
-    EXPECT_EQ(w.window, gex::kDefaultAmWindow);
-  }
+  setenv("UPCXX_AM_WINDOW", "zero", 1);
+  EXPECT_EQ(gex::resolve_am_window(c), gex::kDefaultAmWindow);
+  EXPECT_EQ(gex::kDefaultAmWindow, 8u);
   setenv("UPCXX_AM_WINDOW", "auto", 1);
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_TRUE(w.adaptive);
-    EXPECT_EQ(w.window, gex::kDefaultAmWindow);
-  }
+  EXPECT_EQ(gex::resolve_am_window(c), 8u);
+  EXPECT_EQ(gex::Config::from_env().am_window, 0u);
   setenv("UPCXX_AM_WINDOW", "16", 1);
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_FALSE(w.adaptive);
-    EXPECT_EQ(w.window, 16u);
-  }
+  EXPECT_EQ(gex::resolve_am_window(c), 16u);
   {
     gex::Config forced;
     forced.am_window = gex::kAmWindowForceAuto;
-    const auto w = gex::resolve_am_window(forced);
-    EXPECT_TRUE(w.adaptive);
+    EXPECT_EQ(gex::resolve_am_window(forced), 8u);
   }
   unsetenv("UPCXX_AM_WINDOW");
   // Non-finite bandwidth is scrubbed by normalize() for hand-built

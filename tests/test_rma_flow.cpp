@@ -444,9 +444,7 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
     // Swap in per-rank protocol instances with mismatched pinned windows;
     // the handlers route through gex::self()->rma_am, so both sides see
     // their own instance.
-    gex::RmaAmProtocol proto(
-        gex::self()->am,
-        gex::AmWindowSetting{false, me == 1 ? 2u : 8u});
+    gex::RmaAmProtocol proto(gex::self()->am, me == 1 ? 2u : 8u);
     auto* saved = gex::self()->rma_am;
     gex::self()->rma_am = &proto;
     if (me == 1) s_parked.store(1, std::memory_order_release);
@@ -489,53 +487,6 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
     upcxx::barrier();
   });
   EXPECT_EQ(fails, 0);
-}
-
-// The adaptive controller is a pure state machine; drive it with synthetic
-// RTTs and check the control law: additive growth on timely windowfuls,
-// multiplicative backoff (at most once per windowful) on late acks, window
-// always within [1, max].
-TEST(AmWindowAdaptive, ControllerGrowsShrinksAndStaysBounded) {
-  gex::AmWindowController c(4, 16, 2.0);
-  EXPECT_EQ(c.window(), 4u);
-  EXPECT_EQ(c.max_window(), 16u);
-  // Timely acks (at the floor) grow the window one credit per windowful:
-  // 4+5+...+15 = 114 acks to reach the ceiling.
-  int acks_to_max = 0;
-  while (c.window() < 16 && acks_to_max < 1000) {
-    c.on_ack(1000);
-    ++acks_to_max;
-  }
-  EXPECT_EQ(c.window(), 16u);
-  EXPECT_EQ(acks_to_max, 114);
-  // The ceiling holds under continued timely acks.
-  for (int i = 0; i < 200; ++i) c.on_ack(1000);
-  EXPECT_EQ(c.window(), 16u);
-  // One late ack does not shrink twice within a windowful; a sustained
-  // late regime halves per windowful down to 1, never below.
-  std::uint32_t prev = c.window();
-  for (int i = 0; i < 400 && c.window() > 1; ++i) {
-    const int d = c.on_ack(50'000'000);
-    if (d < 0) {
-      EXPECT_EQ(c.window(), prev / 2);
-      prev = c.window();
-    }
-  }
-  EXPECT_EQ(c.window(), 1u);
-  for (int i = 0; i < 100; ++i) c.on_ack(100'000'000);
-  EXPECT_GE(c.window(), 1u);
-  EXPECT_LE(c.window(), 16u);
-  // Recovery: back in the timely regime, the window climbs again.
-  gex::AmWindowController r(2, 8, 2.0);
-  for (int i = 0; i < 16; ++i) r.on_ack(60'000'000);  // establish high floor
-  const std::uint32_t before = r.window();
-  for (int i = 0; i < 200; ++i) r.on_ack(1000);  // fast acks lower the floor
-  EXPECT_GT(r.window(), before);
-  // Degenerate parameters clamp instead of misbehaving.
-  gex::AmWindowController z(0, 0, 0.5);
-  EXPECT_EQ(z.window(), 1u);
-  z.on_ack(0);
-  EXPECT_EQ(z.window(), 1u);
 }
 
 }  // namespace

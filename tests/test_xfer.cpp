@@ -229,9 +229,9 @@ TEST(XferEngine, WireReadinessHoldsChunksInEngine) {
 }
 
 TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
-  // The budget dealer reads the wire's *current* credit window
-  // (WireOps::credits — on the AM wire, the adaptive controller's
-  // window_now minus in-flight) instead of a static ceiling. Target 1
+  // The budget dealer reads the wire's free credits per target
+  // (WireOps::credits — on the AM wire, the window minus that target's
+  // in-flight requests) instead of a static ceiling. Target 1
   // offers 1 credit, target 2 offers 8: a budget-8 poll must hand target
   // 1 exactly its single credit and spend the other 7 chunks on target 2
   // rather than burning quota on the throttled channel.
