@@ -98,9 +98,13 @@ AmTransport parse_am_transport(const char* v) {
 }  // namespace
 
 std::uint32_t resolve_am_window(const Config& cfg) {
+  const std::uint32_t def =
+      resolve_am_transport(cfg) == AmTransport::kSocket
+          ? kDefaultSocketAmWindow
+          : kDefaultAmWindow;
+  if (cfg.am_window == kAmWindowForceAuto) return def;
   if (cfg.am_window != 0) return cfg.am_window;
-  return static_cast<std::uint32_t>(
-      env_positive("UPCXX_AM_WINDOW", kDefaultAmWindow));
+  return static_cast<std::uint32_t>(env_positive("UPCXX_AM_WINDOW", def));
 }
 
 RmaWire resolve_rma_wire(const Config& cfg) {
@@ -215,7 +219,7 @@ Config Config::from_env() {
     c.am_transport = parse_am_transport(v);
   }
   // 0 unless the environment names a positive window; resolve_am_window
-  // turns 0 into kDefaultAmWindow at launch.
+  // turns 0 into the transport's default window at launch.
   c.am_window = static_cast<std::uint32_t>(env_positive("UPCXX_AM_WINDOW", 0));
   c.am_xfer_chunk_bytes =
       static_cast<std::size_t>(env_positive(

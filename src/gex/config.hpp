@@ -92,8 +92,8 @@ struct Config {
   // in-flight staging (window × chunk) out of cache, which is what caps
   // am-wire bandwidth (see am_xfer_chunk_bytes). 0 = consult
   // UPCXX_AM_WINDOW (so hand-built test Configs honor the CI matrix, like
-  // rma_wire's kAuto), defaulting to kDefaultAmWindow; an explicit value
-  // wins over the environment. See resolve_am_window below.
+  // rma_wire's kAuto), defaulting to the transport's default window; an
+  // explicit value wins over the environment. See resolve_am_window below.
   std::uint32_t am_window = 0;            // UPCXX_AM_WINDOW
   // Chunk granularity on the am wire: the engine uses
   // min(xfer_chunk_bytes, am_xfer_chunk_bytes) there, so explicit small
@@ -160,18 +160,25 @@ struct Config {
 // ranks still share one arena — thread or plain process backends).
 RmaWire resolve_rma_wire(const Config& cfg);
 
-// Default per-target AM-wire credit window. On perfbench rma_am and
-// rma_socket, 8 holds every metric an RTT-driven adaptive window reached,
-// while 16 costs ~40% socket p99 (DESIGN.md, "One fixed window").
+// Default per-target AM-wire credit window on the mmap transport. On
+// perfbench rma_am, 8 holds every metric an RTT-driven adaptive window
+// reached (DESIGN.md, "One fixed window").
 inline constexpr std::uint32_t kDefaultAmWindow = 8;
-// perfbench names this to mean "the default window, whatever the
-// environment pins".
-inline constexpr std::uint32_t kAmWindowForceAuto = kDefaultAmWindow;
+// Default window on the socket transport. Every record to a peer rides one
+// FIFO byte stream there, so up to window × chunk bytes of bulk traffic sit
+// ahead of a small request or reply: the window sets small-op tail latency
+// and passes host load straight into it. 5 keeps perfbench rma_socket's
+// p50 at the adaptive window's and its p99 below it; 8 costs ~20% p99.
+inline constexpr std::uint32_t kDefaultSocketAmWindow = 5;
+// perfbench names this to mean "the transport's default window, whatever
+// the environment pins".
+inline constexpr std::uint32_t kAmWindowForceAuto = ~std::uint32_t{0};
 
-// Resolves a Config's am_window: an explicit (non-zero) value wins; 0
-// consults UPCXX_AM_WINDOW, where a positive integer is the window and
-// anything else warns and resolves to kDefaultAmWindow, as does an unset
-// variable.
+// Resolves a Config's am_window: kAmWindowForceAuto gives the transport's
+// default (kDefaultSocketAmWindow on socket, kDefaultAmWindow otherwise);
+// any other non-zero value wins; 0 consults UPCXX_AM_WINDOW, where a
+// positive integer is the window and anything else warns and resolves to
+// the transport's default, as does an unset variable.
 std::uint32_t resolve_am_window(const Config& cfg);
 
 // Resolves a Config's am_transport. kAuto consults UPCXX_AM_TRANSPORT (so

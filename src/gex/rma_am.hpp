@@ -70,9 +70,11 @@
 // staging is an optimization, never a requirement.
 //
 // One fixed window for every peer: UPCXX_AM_WINDOW=<n> when set to a
-// positive integer, kDefaultAmWindow (8) otherwise. The same value gates
-// credits, bounds both staging pools and sets the queue cap (DESIGN.md,
-// "One fixed window", has the measurements behind 8).
+// positive integer, otherwise the transport's default — kDefaultAmWindow
+// (8) on mmap, kDefaultSocketAmWindow (5) on socket, whose single byte
+// stream per peer puts every in-flight chunk ahead of the next small
+// record. The same value gates credits, bounds both staging pools and sets
+// the queue cap (DESIGN.md, "One fixed window", has the measurements).
 //
 // Execution model (the part that differs from the direct wire): data lands
 // when the *target* runs the request handler inside its AmEngine::poll —

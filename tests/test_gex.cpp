@@ -577,22 +577,33 @@ TEST(Config, NumericKnobsRejectGarbage) {
   unsetenv("UPCXX_AM_WINDOW");
   unsetenv("UPCXX_SIM_LATENCY_NS");
   // resolve_am_window resolves a garbage environment and the retired
-  // `auto` spelling to the default window, honors an integer, and an
-  // explicit Config value (kAmWindowForceAuto is the default spelled
-  // out) beats even a pinned environment.
+  // `auto` spelling to the transport's default window, honors an integer,
+  // and kAmWindowForceAuto (the default spelled out) or any other explicit
+  // Config value beats even a pinned environment. The transport is pinned
+  // so a CI-level UPCXX_AM_TRANSPORT cannot move the defaults.
   gex::Config c;
+  c.am_transport = gex::AmTransport::kMmap;
+  gex::Config sock;
+  sock.am_transport = gex::AmTransport::kSocket;
   setenv("UPCXX_AM_WINDOW", "zero", 1);
   EXPECT_EQ(gex::resolve_am_window(c), gex::kDefaultAmWindow);
   EXPECT_EQ(gex::kDefaultAmWindow, 8u);
+  EXPECT_EQ(gex::resolve_am_window(sock), gex::kDefaultSocketAmWindow);
+  EXPECT_EQ(gex::kDefaultSocketAmWindow, 5u);
   setenv("UPCXX_AM_WINDOW", "auto", 1);
   EXPECT_EQ(gex::resolve_am_window(c), 8u);
   EXPECT_EQ(gex::Config::from_env().am_window, 0u);
   setenv("UPCXX_AM_WINDOW", "16", 1);
   EXPECT_EQ(gex::resolve_am_window(c), 16u);
+  EXPECT_EQ(gex::resolve_am_window(sock), 16u);
   {
-    gex::Config forced;
+    gex::Config forced = c;
     forced.am_window = gex::kAmWindowForceAuto;
     EXPECT_EQ(gex::resolve_am_window(forced), 8u);
+    forced.am_transport = gex::AmTransport::kSocket;
+    EXPECT_EQ(gex::resolve_am_window(forced), 5u);
+    forced.am_window = 3;
+    EXPECT_EQ(gex::resolve_am_window(forced), 3u);
   }
   unsetenv("UPCXX_AM_WINDOW");
   // Non-finite bandwidth is scrubbed by normalize() for hand-built

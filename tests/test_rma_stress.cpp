@@ -234,8 +234,9 @@ TEST(RmaStress, RandomizedSoakDirectWire) {
   EXPECT_EQ(fails, 0);
 }
 
-// The staged-reply soak: same traffic at the default window (pinned
-// explicitly, so it beats any CI window pin), with chunks sized so GET
+// The staged-reply soak: same traffic at the mmap default window of 8 on
+// both transports (pinned explicitly, so it beats any CI window pin and
+// the socket default of 5), with chunks sized so GET
 // replies exceed eager_max and exercise the staged-reply pool under racing
 // multi-rank traffic — on both AM transports (socket has no shared memory,
 // so its replies ride inline and the rack counts stay 0). The conservation
